@@ -16,8 +16,10 @@ use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 use cnt_cache::prelude::*;
+use cnt_cache::{replay_from, Replay};
+use cnt_obs::Observed;
 use cnt_sim::trace::Trace;
-use cnt_sim::MainMemory;
+use cnt_sim::{AccessError, MainMemory};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -82,6 +84,55 @@ impl CampaignOutcome {
     }
 }
 
+/// A cache taking one upset after every `interval`-th access until
+/// `faults` upsets have landed: the seeded injection schedule shared by
+/// [`run_cell`] and [`run_history_cell`].
+struct Faulted<F> {
+    cache: CntCache,
+    interval: usize,
+    faults: usize,
+    injected: usize,
+    performed: usize,
+    /// Attempts one upset, reporting whether it landed (a cold cache can
+    /// miss a slot).
+    upset: F,
+}
+
+impl<F: FnMut(&mut CntCache) -> bool> Faulted<F> {
+    fn new(cache: CntCache, accesses: usize, faults: usize, upset: F) -> Self {
+        Faulted {
+            cache,
+            interval: (accesses / (faults + 1)).max(1),
+            faults,
+            injected: 0,
+            performed: 0,
+            upset,
+        }
+    }
+}
+
+impl<F: FnMut(&mut CntCache) -> bool> Replay for Faulted<F> {
+    fn step(&mut self, access: &MemoryAccess) -> Result<(), AccessError> {
+        self.cache.access(access)?;
+        self.performed += 1;
+        if self.injected < self.faults
+            && self.performed.is_multiple_of(self.interval)
+            && (self.upset)(&mut self.cache)
+        {
+            self.injected += 1;
+        }
+        Ok(())
+    }
+}
+
+impl<F: FnMut(&mut CntCache) -> bool> Observed for Faulted<F> {
+    const REPLAYS_COUNTER: &'static str = "obs.replays_observed";
+
+    fn levels(&self) -> Vec<cnt_obs::LevelSnapshot> {
+        self.cache.levels()
+    }
+}
+
 /// Runs one campaign cell over `trace`.
 ///
 /// The cache mirrors the `fig13` setup (adaptive encoding, paper D-Cache
@@ -110,45 +161,30 @@ pub fn run_cell(trace: &Trace, spec: &CampaignSpec) -> CampaignOutcome {
         .build()
         .expect("static geometry");
     let line_bytes = u64::from(config.geometry.line_bytes());
-    let mut cache = CntCache::new(config).expect("valid cache");
-
-    let epoch_len = cnt_obs::epoch_len();
-    let replay_id = epoch_len.map(|_| cnt_obs::next_replay_path());
-    let mut epoch = 0u64;
+    let cache = CntCache::new(config).expect("valid cache");
 
     let mut rng = SmallRng::seed_from_u64(spec.seed);
-    let interval = (trace.len() / (spec.faults + 1)).max(1);
     let scrub = spec.scrub && spec.protection != ProtectionMode::None;
-    let mut injected = 0;
-    for (i, access) in trace.iter().enumerate() {
-        cache.access(access).expect("trace runs");
-        if injected < spec.faults && i % interval == interval - 1 {
-            // Same victim selection as fig13: counted line index, then a
-            // partition drawn from the codec layout.
-            let count = cache.valid_line_count();
-            if count > 0 {
-                let loc = cache
-                    .nth_valid_line(rng.gen_range(0..count))
-                    .expect("index below the valid-line count");
-                let partition = rng.gen_range(0..cache.partitions());
-                if cache.inject_direction_fault(loc, partition) {
-                    injected += 1;
-                }
-            }
-            // Scrubbing at the injection interval keeps at most one
-            // upset outstanding per line, so SECDED always corrects.
-            if scrub {
-                cache.scrub_metadata();
-            }
+    let mut faulted = Faulted::new(cache, trace.len(), spec.faults, |cache: &mut CntCache| {
+        // Same victim selection as fig13: counted line index, then a
+        // partition drawn from the codec layout.
+        let count = cache.valid_line_count();
+        let landed = count > 0 && {
+            let loc = cache
+                .nth_valid_line(rng.gen_range(0..count))
+                .expect("index below the valid-line count");
+            let partition = rng.gen_range(0..cache.partitions());
+            cache.inject_direction_fault(loc, partition)
+        };
+        // Scrubbing at the injection interval keeps at most one
+        // upset outstanding per line, so SECDED always corrects.
+        if scrub {
+            cache.scrub_metadata();
         }
-        if let (Some(every), Some(id)) = (epoch_len, replay_id.as_deref()) {
-            let accesses = i as u64 + 1;
-            if accesses.is_multiple_of(every) {
-                cnt_obs::record(cnt_obs::Snapshot::capture(&cache, id, epoch, accesses));
-                epoch += 1;
-            }
-        }
-    }
+        landed
+    });
+    cnt_obs::replay(&mut faulted, trace).expect("trace runs");
+    let mut cache = faulted.cache;
     cache.flush();
 
     // Compare every written word against the golden image, attributing
@@ -378,31 +414,29 @@ pub fn run_history_cell(
     // Golden counters: same protection, no upsets — protection overhead
     // itself must not count as skew.
     let mut golden = build(protection);
-    for access in trace {
-        golden.access(access).expect("trace runs");
-    }
+    golden.run(trace).expect("trace runs");
     golden.flush();
     let golden_counters = *golden.encoding_counters();
 
-    let mut cache = build(protection);
     let mut rng = SmallRng::seed_from_u64(seed);
-    let interval = (trace.len() / (faults + 1)).max(1);
-    let mut injected = 0;
-    for (i, access) in trace.iter().enumerate() {
-        cache.access(access).expect("trace runs");
-        if injected < faults && i % interval == interval - 1 {
+    let mut faulted = Faulted::new(
+        build(protection),
+        trace.len(),
+        faults,
+        |cache: &mut CntCache| {
             let count = cache.valid_line_count();
-            if count > 0 {
+            count > 0 && {
                 let loc = cache
                     .nth_valid_line(rng.gen_range(0..count))
                     .expect("index below the valid-line count");
                 let bit = rng.gen_range(0..cache.history_data_bits());
-                if cache.inject_history_fault(loc, bit) {
-                    injected += 1;
-                }
+                cache.inject_history_fault(loc, bit)
             }
-        }
-    }
+        },
+    );
+    replay_from(&mut faulted, trace, 0, None, |_, _| {}).expect("trace runs");
+    let injected = faulted.injected;
+    let mut cache = faulted.cache;
     cache.flush();
 
     let r = *cache.reliability_counters();

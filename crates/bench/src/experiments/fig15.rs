@@ -69,7 +69,7 @@ fn total_energy(
     // Observed replay: with `--metrics-out` installed this emits one
     // multi-level (L1I/L1D/L2) snapshot per epoch; without a sink it is
     // the same plain loop as `h.run`.
-    cnt_obs::replay_hierarchy(&mut h, trace).expect("trace runs");
+    cnt_obs::replay(&mut h, trace).expect("trace runs");
     h.flush_all();
     h.total_energy().femtojoules()
 }

@@ -24,9 +24,9 @@
 use std::io::Read;
 use std::path::Path;
 
-use cnt_cache::{CntCache, CntCacheConfig, EncodingPolicy, EnergyReport};
+use cnt_cache::{replay_from, CntCache, CntCacheConfig, EncodingPolicy, EnergyReport};
 use cnt_energy::EnergyBreakdown;
-use cnt_obs::{IngestSnapshot, Snapshot};
+use cnt_obs::{EpochEmitter, IngestSnapshot};
 use cnt_sim::trace::AccessBatch;
 use cnt_sim::AccessError;
 use cnt_trace::reader::Fetch;
@@ -162,8 +162,8 @@ pub struct ReplayCursor {
     /// The replay's deterministic experiment id (`None` when no metrics
     /// sink was installed).
     pub experiment: Option<String>,
-    /// Per-level cumulative energy at the last emitted epoch — the
-    /// [`cnt_obs::DeltaTracker`] seed, so a resumed replay's next
+    /// Per-level cumulative energy at the last emitted epoch
+    /// ([`EpochEmitter::delta_prev`]), so a resumed replay's next
     /// per-epoch delta subtracts the right baseline.
     pub delta_prev: Vec<EnergyBreakdown>,
 }
@@ -209,9 +209,10 @@ fn sample_ingest(
 /// byte budget (tracked in `peak_buffered_bytes`).
 ///
 /// Observability: when a metrics sink is installed this emits one
-/// [`Snapshot`] per epoch — per-level counters, per-epoch energy deltas,
-/// *and* the chunk-ingest block — under the same deterministic replay id
-/// scheme as `cnt_obs::replay`.
+/// [`cnt_obs::Snapshot`] per epoch through an [`EpochEmitter`] —
+/// per-level counters, per-epoch energy deltas, *and* the chunk-ingest
+/// block — under the same deterministic replay id scheme as
+/// `cnt_obs::replay`.
 ///
 /// # Errors
 ///
@@ -263,7 +264,6 @@ pub fn replay_stream_resumable<R: Read>(
     mut checkpoint: Option<CheckpointEvery<'_>>,
     cancel: Option<&CancelToken>,
 ) -> Result<(IngestSnapshot, u64), StreamError> {
-    let every = cnt_obs::epoch_len();
     assert!(
         checkpoint.is_none() || reader.options().corruption == CorruptionPolicy::FailFast,
         "checkpointing requires fail-fast corruption handling"
@@ -277,18 +277,21 @@ pub fn replay_stream_resumable<R: Read>(
             "reader must be seeked to the checkpoint cursor before resuming"
         );
     }
-    let experiment = if resuming {
-        cursor.experiment.clone()
+    let mut emitter = if resuming {
+        let experiment = cursor.experiment.clone();
+        cnt_obs::epoch_len()
+            .zip(experiment)
+            .map(|(every, experiment)| {
+                EpochEmitter::resumed(every, experiment, cursor.epoch, cursor.delta_prev.clone())
+            })
     } else {
-        every.map(|_| cnt_obs::next_replay_path())
+        EpochEmitter::global()
     };
-    let mut deltas = cnt_obs::DeltaTracker::seeded(cursor.delta_prev);
     let budget = reader.options().budget_bytes;
     let corruption = reader.options().corruption;
 
     let mut driver = cursor.driver;
     let mut accesses: u64 = cursor.accesses;
-    let mut epoch: u64 = cursor.epoch;
     let mut last_checkpoint: u64 = cursor.chunk;
 
     let cancelled = |driver: &IngestSnapshot, accesses: u64| StreamError::Cancelled {
@@ -371,33 +374,17 @@ pub fn replay_stream_resumable<R: Read>(
                     }
                 }
             };
-            if every.is_none() {
-                // Untraced replay: stream the whole batch through the
-                // columnar loop with no per-record epoch bookkeeping.
-                cache.run_batch(&batch)?;
-                accesses += batch.len() as u64;
-            } else {
-                for i in 0..batch.len() {
-                    cache.access(&batch.get(i))?;
-                    accesses += 1;
-                    if let (Some(every), Some(experiment)) = (every, experiment.as_deref()) {
-                        if accesses.is_multiple_of(every) {
-                            // Only chunks strictly after `position` are
-                            // buffered-and-unconsumed; the chunk currently
-                            // being replayed is partially consumed and must
-                            // not inflate the gauge.
-                            let buffered = (window.len() - position - 1) as u64;
-                            let mut snapshot =
-                                Snapshot::capture(cache, experiment, epoch, accesses);
-                            snapshot.ingest =
-                                Some(sample_ingest(reader.stats(), &driver, buffered));
-                            deltas.apply(&mut snapshot);
-                            cnt_obs::record(snapshot);
-                            epoch += 1;
-                        }
-                    }
+            // Only chunks strictly after `position` are buffered and
+            // unconsumed; the chunk being replayed is partially consumed
+            // and must not inflate the gauge.
+            let buffered = (window.len() - position - 1) as u64;
+            let every = emitter.as_ref().map(EpochEmitter::every);
+            accesses = replay_from(cache, batch.iter(), accesses, every, |cache, n| {
+                if let Some(emitter) = emitter.as_mut() {
+                    let ingest = sample_ingest(reader.stats(), &driver, buffered);
+                    emitter.emit(cache, n, Some(ingest));
                 }
-            }
+            })?;
             driver.chunks_consumed += 1;
             driver.bytes_decoded += raw.payload.len() as u64;
         }
@@ -408,13 +395,23 @@ pub fn replay_stream_resumable<R: Read>(
         // finish and the final state supersedes any checkpoint).
         if let Some(ck) = checkpoint.as_mut() {
             if !eof && reader.cursor() - last_checkpoint >= ck.chunks {
+                let (experiment, epoch, delta_prev) = match &emitter {
+                    Some(e) => (Some(e.experiment()), e.epoch(), e.delta_prev()),
+                    // Without an emitter a resumed replay's identity
+                    // carries through unchanged.
+                    None => (
+                        cursor.experiment.as_deref(),
+                        cursor.epoch,
+                        &cursor.delta_prev[..],
+                    ),
+                };
                 let state = ReplayCursor {
                     chunk: reader.cursor(),
                     accesses,
                     epoch,
                     driver,
-                    experiment: experiment.clone(),
-                    delta_prev: deltas.state().to_vec(),
+                    experiment: experiment.map(str::to_string),
+                    delta_prev: delta_prev.to_vec(),
                 };
                 (ck.write)(cache, &state, reader.identity())?;
                 last_checkpoint = state.chunk;
@@ -427,15 +424,8 @@ pub fn replay_stream_resumable<R: Read>(
     }
 
     let final_ingest = sample_ingest(reader.stats(), &driver, 0);
-    if let (Some(every), Some(experiment)) = (every, experiment.as_deref()) {
-        if !accesses.is_multiple_of(every) || accesses == 0 {
-            // Trailing partial epoch (or an empty stream): emit the final
-            // state so the last accesses are never silently discarded.
-            let mut snapshot = Snapshot::capture(cache, experiment, epoch, accesses);
-            snapshot.ingest = Some(final_ingest);
-            deltas.apply(&mut snapshot);
-            cnt_obs::record(snapshot);
-        }
+    if let Some(emitter) = emitter {
+        emitter.finish(cache, accesses, Some(final_ingest));
     }
 
     // Mirror the totals into the process-wide registry so `--metrics-final`

@@ -7,11 +7,14 @@
 //! numbers silently.
 
 use cnt_bench::runner::{dcache_config, run_dcache};
-use cnt_bench::stream::{replay_stream, StreamError};
+use cnt_bench::stream::{
+    replay_stream, replay_stream_resumable, CheckpointEvery, ReplayCursor, StreamError,
+};
 use cnt_cache::{CntCache, EncodingPolicy, EnergyReport};
-use cnt_sim::trace::{MemoryAccess, Trace};
+use cnt_obs::{replay_into, Snapshot};
+use cnt_sim::trace::{AccessBatch, MemoryAccess, Trace};
 use cnt_sim::Address;
-use cnt_trace::{pack_trace, CorruptionPolicy, ReadOptions, StreamReader};
+use cnt_trace::{pack_trace, Checkpointable, CorruptionPolicy, ReadOptions, StreamReader};
 use cnt_workloads::synthetic::{AddressPattern, SyntheticSpec};
 use proptest::prelude::*;
 
@@ -32,6 +35,66 @@ fn stream_replay(
     let (ingest, _) = replay_stream(&mut cache, &mut reader)?;
     cache.flush();
     Ok((cache.into_report(), ingest))
+}
+
+fn adaptive_cache() -> CntCache {
+    CntCache::new(dcache_config("L1D", EncodingPolicy::adaptive_default())).expect("valid config")
+}
+
+/// A budget of a chunk or two, so a stream spans many windows (and so
+/// many checkpoint opportunities).
+const SMALL_WINDOWS: ReadOptions = ReadOptions {
+    budget_bytes: 512,
+    corruption: CorruptionPolicy::FailFast,
+};
+
+/// Streams packed bytes under a thread-local sink of epoch `every`,
+/// checkpointing every `checkpoint_chunks` chunks. Returns the snapshots
+/// and the cache state and cursor of the first checkpoint, if any fired.
+fn streamed_snapshots(
+    bytes: &[u8],
+    every: u64,
+    checkpoint_chunks: u64,
+) -> (Vec<Snapshot>, Option<(Vec<u8>, ReplayCursor)>) {
+    let sink = cnt_obs::install_local(every, None);
+    let mut saved = None;
+    let mut hook = |cache: &CntCache, cursor: &ReplayCursor, _: u64| {
+        if saved.is_none() {
+            saved = Some((cache.encode_state()?, cursor.clone()));
+        }
+        Ok(())
+    };
+    let mut reader = StreamReader::new(bytes, SMALL_WINDOWS).expect("opens");
+    let checkpoint = CheckpointEvery {
+        chunks: checkpoint_chunks,
+        write: &mut hook,
+    };
+    replay_stream_resumable(
+        &mut adaptive_cache(),
+        &mut reader,
+        None,
+        Some(checkpoint),
+        None,
+    )
+    .expect("streams");
+    (sink.finish(), saved)
+}
+
+/// Resumes a stream from a checkpoint, returning the snapshots emitted
+/// after it.
+fn resumed_snapshots(
+    bytes: &[u8],
+    every: u64,
+    state: &[u8],
+    cursor: ReplayCursor,
+) -> Vec<Snapshot> {
+    let sink = cnt_obs::install_local(every, None);
+    let mut reader = StreamReader::new(std::io::Cursor::new(bytes), SMALL_WINDOWS).expect("opens");
+    reader.seek_to_chunk(cursor.chunk).expect("seeks");
+    let mut cache = adaptive_cache();
+    cache.restore_state(state).expect("restores");
+    replay_stream_resumable(&mut cache, &mut reader, Some(cursor), None, None).expect("resumes");
+    sink.finish()
 }
 
 fn arb_access() -> impl Strategy<Value = MemoryAccess> {
@@ -87,6 +150,49 @@ proptest! {
                 ingest.peak_buffered_bytes,
                 budget_kib * 1024
             );
+        }
+    }
+
+    /// Every replay source emits the same epoch snapshots: a streamed
+    /// `.ctr` (ingest counters aside), the in-memory `Trace`, and its
+    /// `AccessBatch` — for epochs shorter than, equal to, and longer
+    /// than a chunk or the whole trace, with boundaries falling
+    /// mid-chunk. A stream resumed from a mid-stream cursor emits exactly
+    /// the uninterrupted stream's remaining snapshots, ingest included.
+    #[test]
+    fn every_replay_source_emits_the_same_snapshots(
+        accesses in prop::collection::vec(arb_access(), 0..300),
+        chunk in 2u32..24,
+    ) {
+        prop_assume!(chunk != 7);
+        for trace in [Trace::new(), Trace::from_iter(accesses)] {
+            let len = trace.len() as u64;
+            let bytes = pack(&trace, chunk);
+            let batch = AccessBatch::from_trace(&trace);
+            let chunks = len.div_ceil(u64::from(chunk));
+            for every in [1, 7, u64::from(chunk), len.max(1), len + 1] {
+                let (streamed, checkpoint) = streamed_snapshots(&bytes, every, (chunks / 2).max(1));
+                let experiment = streamed[0].experiment.clone();
+                let mut from_trace = Vec::new();
+                replay_into(&mut adaptive_cache(), &trace, &experiment, every, &mut from_trace)
+                    .expect("replays");
+                let mut from_batch = Vec::new();
+                replay_into(&mut adaptive_cache(), batch.iter(), &experiment, every, &mut from_batch)
+                    .expect("replays");
+                prop_assert_eq!(&from_batch, &from_trace);
+                let without_ingest: Vec<Snapshot> = streamed
+                    .iter()
+                    .cloned()
+                    .map(|snapshot| Snapshot { ingest: None, ..snapshot })
+                    .collect();
+                prop_assert_eq!(&without_ingest, &from_trace);
+
+                if let (7, Some((state, cursor))) = (every, checkpoint) {
+                    let epoch = cursor.epoch as usize;
+                    let resumed = resumed_snapshots(&bytes, every, &state, cursor);
+                    prop_assert_eq!(&resumed[..], &streamed[epoch..]);
+                }
+            }
         }
     }
 

@@ -12,13 +12,15 @@
 //! direction bits; correctness is structural (the XOR is an involution) and
 //! energy is always computed on the stored view.
 
+use std::borrow::Borrow;
+
 use cnt_encoding::{
     AccessHistory, BitPreference, DirectionBits, DirectionPredictor, FifoSnapshot, FifoStats,
     LineCodec, OverflowPolicy, PartitionLayout, PredictorConfig, ProtectedDirectionBits,
     ProtectedHistory, ProtectionMode, ProtectionVerdict, UpdateFifo,
 };
 use cnt_energy::{ChargeKind, EnergyBreakdown, EnergyMeter};
-use cnt_sim::trace::{AccessBatch, AccessKind, MemoryAccess};
+use cnt_sim::trace::{AccessBatch, MemoryAccess};
 use cnt_sim::{
     AccessError, AccessOutcome, Address, ArrayObserver, Backing, Cache, CacheLevel, CacheLine,
     CacheSnapshot, CacheStats, LineLocation, MainMemory, MemorySnapshot,
@@ -28,6 +30,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::config::{CntCacheConfig, ConfigError};
 use crate::policy::{EncodingPolicy, MetadataFaultPolicy};
+use crate::replay::replay_from;
 use crate::report::{EncodingCounters, EnergyReport, ReliabilityCounters};
 
 /// Per-line encoding state: direction bits, window counters, and the
@@ -166,6 +169,9 @@ pub struct CntCache {
     /// Template for a freshly-filled line's history register (window
     /// length and protection mode fixed by the configuration).
     fresh_history: ProtectedHistory,
+    /// Energy scale of the observer's metadata charges: the configured
+    /// sidecar scale, or zero when metadata is not metered.
+    metadata_scale: f64,
     fault_policy: MetadataFaultPolicy,
     reliability: ReliabilityCounters,
     /// Base addresses of lines degraded by the fault policy (invalidated
@@ -278,6 +284,11 @@ impl CntCache {
             zero_flag,
             protection,
             fresh_history,
+            metadata_scale: if config.meter_metadata {
+                config.metadata_energy_scale
+            } else {
+                0.0
+            },
             fault_policy: config.fault_policy,
             reliability: ReliabilityCounters::default(),
             degraded_lines: Vec::new(),
@@ -385,12 +396,8 @@ impl CntCache {
     ///
     /// Returns [`AccessError`] for malformed accesses.
     pub fn access(&mut self, access: &MemoryAccess) -> Result<AccessOutcome, AccessError> {
-        match access.kind {
-            AccessKind::Write => self.demand(access.addr, access.width, Some(access.value)),
-            AccessKind::Read | AccessKind::InstrFetch => {
-                self.demand(access.addr, access.width, None)
-            }
-        }
+        let write = access.is_write().then_some(access.value);
+        self.demand(access.addr, access.width, write, None)
     }
 
     /// Reads `width` bytes at `addr`.
@@ -399,7 +406,7 @@ impl CntCache {
     ///
     /// Returns [`AccessError`] for malformed accesses.
     pub fn read(&mut self, addr: Address, width: u8) -> Result<u64, AccessError> {
-        self.demand(addr, width, None).map(|o| o.value)
+        self.demand(addr, width, None, None).map(|o| o.value)
     }
 
     /// Writes the low `width * 8` bits of `value` at `addr`.
@@ -408,7 +415,7 @@ impl CntCache {
     ///
     /// Returns [`AccessError`] for malformed accesses.
     pub fn write(&mut self, addr: Address, width: u8, value: u64) -> Result<(), AccessError> {
-        self.demand(addr, width, Some(value)).map(|_| ())
+        self.demand(addr, width, Some(value), None).map(|_| ())
     }
 
     /// Runs every access of a trace, returning how many were performed.
@@ -416,116 +423,22 @@ impl CntCache {
     /// # Errors
     ///
     /// Stops at and returns the first [`AccessError`].
-    pub fn run<'a, I>(&mut self, trace: I) -> Result<usize, AccessError>
+    pub fn run<I>(&mut self, trace: I) -> Result<usize, AccessError>
     where
-        I: IntoIterator<Item = &'a MemoryAccess>,
+        I: IntoIterator,
+        I::Item: Borrow<MemoryAccess>,
     {
-        let mut n = 0;
-        for access in trace {
-            self.access(access)?;
-            n += 1;
-        }
-        Ok(n)
-    }
-
-    /// Runs every access of a trace like [`run`](Self::run), invoking
-    /// `epoch_hook(&self, epoch, accesses_so_far)` after every `every`
-    /// accesses (an *epoch boundary*). A final call is made at the end of
-    /// the trace when a partial epoch remains — or when the trace was
-    /// empty — so every replay yields at least one observation.
-    ///
-    /// The hook borrows the cache immutably, so it can capture statistics,
-    /// the energy breakdown, encoding counters, and FIFO occupancy
-    /// mid-replay without disturbing the simulation.
-    ///
-    /// # Errors
-    ///
-    /// Stops at and returns the first [`AccessError`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `every` is zero.
-    pub fn run_observed<'a, I, F>(
-        &mut self,
-        trace: I,
-        every: u64,
-        mut epoch_hook: F,
-    ) -> Result<usize, AccessError>
-    where
-        I: IntoIterator<Item = &'a MemoryAccess>,
-        F: FnMut(&Self, u64, u64),
-    {
-        assert!(every > 0, "epoch length must be positive");
-        let mut n: u64 = 0;
-        let mut epoch: u64 = 0;
-        for access in trace {
-            self.access(access)?;
-            n += 1;
-            if n.is_multiple_of(every) {
-                epoch_hook(self, epoch, n);
-                epoch += 1;
-            }
-        }
-        if !n.is_multiple_of(every) || n == 0 {
-            // Trailing partial epoch (or an empty replay): emit the final
-            // state so the last accesses are never silently discarded.
-            epoch_hook(self, epoch, n);
-        }
-        Ok(n as usize)
+        replay_from(self, trace, 0, None, |_, _| {}).map(|n| n as usize)
     }
 
     /// Runs every access of a struct-of-arrays batch, returning how many
-    /// were performed. Semantically identical to [`run`](Self::run) over
-    /// the same records, but the loop streams through the batch's columns
-    /// — no per-record struct decode, kind match, or pointer chase.
+    /// were performed — [`run`](Self::run) over the batch's records.
     ///
     /// # Errors
     ///
     /// Stops at and returns the first [`AccessError`].
     pub fn run_batch(&mut self, batch: &AccessBatch) -> Result<usize, AccessError> {
-        for i in 0..batch.len() {
-            self.demand(batch.addr(i), batch.width(i), batch.write_value(i))?;
-        }
-        Ok(batch.len())
-    }
-
-    /// [`run_batch`](Self::run_batch) with the epoch hook of
-    /// [`run_observed`](Self::run_observed): `epoch_hook(&self, epoch,
-    /// accesses_so_far)` fires every `every` accesses plus once for a
-    /// trailing partial (or empty) epoch, so observed batched replays
-    /// emit exactly the snapshots of their record-at-a-time equivalent.
-    ///
-    /// # Errors
-    ///
-    /// Stops at and returns the first [`AccessError`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `every` is zero.
-    pub fn run_batch_observed<F>(
-        &mut self,
-        batch: &AccessBatch,
-        every: u64,
-        mut epoch_hook: F,
-    ) -> Result<usize, AccessError>
-    where
-        F: FnMut(&Self, u64, u64),
-    {
-        assert!(every > 0, "epoch length must be positive");
-        let mut n: u64 = 0;
-        let mut epoch: u64 = 0;
-        for i in 0..batch.len() {
-            self.demand(batch.addr(i), batch.width(i), batch.write_value(i))?;
-            n += 1;
-            if n.is_multiple_of(every) {
-                epoch_hook(self, epoch, n);
-                epoch += 1;
-            }
-        }
-        if !n.is_multiple_of(every) || n == 0 {
-            epoch_hook(self, epoch, n);
-        }
-        Ok(n as usize)
+        self.run(batch.iter())
     }
 
     fn demand(
@@ -533,57 +446,53 @@ impl CntCache {
         addr: Address,
         width: u8,
         write: Option<u64>,
-    ) -> Result<AccessOutcome, AccessError> {
-        let mut memory = std::mem::take(&mut self.memory);
-        let result = self.demand_through(addr, width, write, &mut memory);
-        self.memory = memory;
-        result
-    }
-
-    fn demand_through(
-        &mut self,
-        addr: Address,
-        width: u8,
-        write: Option<u64>,
-        lower: &mut dyn Backing,
+        lower: Option<&mut dyn Backing>,
     ) -> Result<AccessOutcome, AccessError> {
         // Decode-path check: the addressed line's metadata is verified
         // *before* the direction bits are trusted. An uncorrectable fault
         // may invalidate the line here, turning the access into a clean
         // refetch miss.
+        self.verify_resident(addr);
+        let (cache, lower, mut observer) = self.metered(lower);
+        let outcome = match write {
+            Some(value) => cache.write_outcome(addr, width, value, lower, &mut observer)?,
+            None => cache.read_outcome(addr, width, lower, &mut observer)?,
+        };
+        self.after_demand(&outcome, write.is_some());
+        Ok(outcome)
+    }
+
+    /// Verifies the metadata of the line holding `addr`, if resident,
+    /// before an access trusts its direction bits.
+    fn verify_resident(&mut self, addr: Address) {
         if self.protection != ProtectionMode::None {
             if let Some(loc) = self.cache.find(addr) {
                 self.verify_line_metadata(loc);
             }
         }
-        let ways = self.config.geometry.associativity();
-        let outcome = {
-            let mut observer = MeterObserver {
-                meter: &mut self.meter,
-                states: &mut self.states,
-                codec: &self.codec,
-                fifo: &mut self.fifo,
-                ways,
-                fill_preference: self.fill_preference,
-                zero_flag: self.zero_flag,
-                protection: self.protection,
-                fresh_history: self.fresh_history,
-                metadata_scale: if self.config.meter_metadata {
-                    self.config.metadata_energy_scale
-                } else {
-                    0.0
-                },
-            };
-            match write {
-                Some(value) => {
-                    self.cache
-                        .write_outcome(addr, width, value, lower, &mut observer)?
-                }
-                None => self.cache.read_outcome(addr, width, lower, &mut observer)?,
-            }
+    }
+
+    /// Splits the borrow of `self` into the array, the backing below it
+    /// (`lower`, or this cache's own memory), and the observer that meters
+    /// every array event at this level.
+    fn metered<'a, 'b>(
+        &'a mut self,
+        lower: Option<&'a mut (dyn Backing + 'b)>,
+    ) -> (&'a mut Cache, &'a mut (dyn Backing + 'b), MeterObserver<'a>) {
+        let observer = MeterObserver {
+            meter: &mut self.meter,
+            states: &mut self.states,
+            codec: &self.codec,
+            fifo: &mut self.fifo,
+            ways: self.config.geometry.associativity(),
+            fill_preference: self.fill_preference,
+            zero_flag: self.zero_flag,
+            protection: self.protection,
+            fresh_history: self.fresh_history,
+            metadata_scale: self.metadata_scale,
         };
-        self.after_demand(&outcome, write.is_some());
-        Ok(outcome)
+        let lower = lower.unwrap_or(&mut self.memory);
+        (&mut self.cache, lower, observer)
     }
 
     /// Performs one demand access against an *external* backing (a lower
@@ -598,85 +507,35 @@ impl CntCache {
         access: &MemoryAccess,
         lower: &mut dyn Backing,
     ) -> Result<AccessOutcome, AccessError> {
-        match access.kind {
-            AccessKind::Write => {
-                self.demand_through(access.addr, access.width, Some(access.value), lower)
-            }
-            AccessKind::Read | AccessKind::InstrFetch => {
-                self.demand_through(access.addr, access.width, None, lower)
-            }
-        }
+        let write = access.is_write().then_some(access.value);
+        self.demand(access.addr, access.width, write, Some(lower))
     }
 
     /// Serves a whole-line read for an upper cache level, with full
     /// energy metering and encoding bookkeeping at this level.
     pub fn load_line_through(&mut self, base: Address, buf: &mut [u64], lower: &mut dyn Backing) {
-        if self.protection != ProtectionMode::None {
-            if let Some(loc) = self.cache.find(base) {
-                self.verify_line_metadata(loc);
-            }
+        self.verify_resident(base);
+        let (cache, lower, mut observer) = self.metered(Some(lower));
+        CacheLevel {
+            cache,
+            lower,
+            observer: &mut observer,
         }
-        let ways = self.config.geometry.associativity();
-        {
-            let mut observer = MeterObserver {
-                meter: &mut self.meter,
-                states: &mut self.states,
-                codec: &self.codec,
-                fifo: &mut self.fifo,
-                ways,
-                fill_preference: self.fill_preference,
-                zero_flag: self.zero_flag,
-                protection: self.protection,
-                fresh_history: self.fresh_history,
-                metadata_scale: if self.config.meter_metadata {
-                    self.config.metadata_energy_scale
-                } else {
-                    0.0
-                },
-            };
-            let mut level = CacheLevel {
-                cache: &mut self.cache,
-                lower,
-                observer: &mut observer,
-            };
-            level.load_line(base, buf);
-        }
+        .load_line(base, buf);
         self.after_line_transfer(base, false);
     }
 
     /// Accepts a whole-line spill from an upper cache level, with full
     /// energy metering and encoding bookkeeping at this level.
     pub fn store_line_through(&mut self, base: Address, data: &[u64], lower: &mut dyn Backing) {
-        if self.protection != ProtectionMode::None {
-            if let Some(loc) = self.cache.find(base) {
-                self.verify_line_metadata(loc);
-            }
+        self.verify_resident(base);
+        let (cache, lower, mut observer) = self.metered(Some(lower));
+        CacheLevel {
+            cache,
+            lower,
+            observer: &mut observer,
         }
-        let ways = self.config.geometry.associativity();
-        {
-            let mut observer = MeterObserver {
-                meter: &mut self.meter,
-                states: &mut self.states,
-                codec: &self.codec,
-                fifo: &mut self.fifo,
-                ways,
-                fill_preference: self.fill_preference,
-                zero_flag: self.zero_flag,
-                protection: self.protection,
-                fresh_history: self.fresh_history,
-                metadata_scale: if self.config.meter_metadata {
-                    self.config.metadata_energy_scale
-                } else {
-                    0.0
-                },
-            };
-            let mut level = CacheLevel {
-                cache: &mut self.cache,
-                lower,
-                observer: &mut observer,
-            };
-            level.store_line(base, data);
-        }
+        .store_line(base, data);
         self.after_line_transfer(base, true);
     }
 
@@ -1083,37 +942,22 @@ impl CntCache {
     /// Drains pending updates, then writes all dirty lines back to memory
     /// (charging write-back reads), returning the number written back.
     pub fn flush(&mut self) -> usize {
-        let mut memory = std::mem::take(&mut self.memory);
-        let written = self.flush_through(&mut memory);
-        self.memory = memory;
-        written
+        self.flush_to(None)
     }
 
     /// [`flush`](Self::flush) against an external backing (for stacked
     /// levels).
     pub fn flush_through(&mut self, lower: &mut dyn Backing) -> usize {
+        self.flush_to(Some(lower))
+    }
+
+    fn flush_to(&mut self, lower: Option<&mut dyn Backing>) -> usize {
         // Every line's directions are about to be trusted for the final
         // write-back: verify them all first (not counted as a scrub pass).
         self.sweep_metadata();
         self.drain_pending();
-        let ways = self.config.geometry.associativity();
-        let mut observer = MeterObserver {
-            meter: &mut self.meter,
-            states: &mut self.states,
-            codec: &self.codec,
-            fifo: &mut self.fifo,
-            ways,
-            fill_preference: self.fill_preference,
-            zero_flag: self.zero_flag,
-            protection: self.protection,
-            fresh_history: self.fresh_history,
-            metadata_scale: if self.config.meter_metadata {
-                self.config.metadata_energy_scale
-            } else {
-                0.0
-            },
-        };
-        self.cache.flush(lower, &mut observer)
+        let (cache, lower, mut observer) = self.metered(lower);
+        cache.flush(lower, &mut observer)
     }
 
     /// H&D metadata bits per line, including protection check bits.

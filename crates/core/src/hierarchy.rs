@@ -6,6 +6,8 @@
 //! (experiment `fig15`): the paper applies adaptive encoding to the
 //! D-Cache; here any subset of levels can be encoded and compared.
 
+use std::borrow::Borrow;
+
 use cnt_sim::trace::{AccessKind, MemoryAccess};
 use cnt_sim::{AccessError, Address, Backing, MainMemory, MemorySnapshot};
 use cnt_trace::{CheckpointError, Checkpointable};
@@ -13,6 +15,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::cnt::{bad_state, CacheCheckpoint, CntCache};
 use crate::config::{CntCacheConfig, ConfigError};
+use crate::replay::replay_from;
 use crate::report::EnergyReport;
 
 /// Configuration of a [`CntHierarchy`]: one [`CntCacheConfig`] per level.
@@ -160,56 +163,12 @@ impl CntHierarchy {
     /// # Errors
     ///
     /// Stops at and returns the first [`AccessError`].
-    pub fn run<'a, I>(&mut self, trace: I) -> Result<usize, AccessError>
+    pub fn run<I>(&mut self, trace: I) -> Result<usize, AccessError>
     where
-        I: IntoIterator<Item = &'a MemoryAccess>,
+        I: IntoIterator,
+        I::Item: Borrow<MemoryAccess>,
     {
-        let mut n = 0;
-        for access in trace {
-            self.access(access)?;
-            n += 1;
-        }
-        Ok(n)
-    }
-
-    /// Runs a whole trace like [`run`](Self::run), invoking
-    /// `epoch_hook(&self, epoch, accesses_so_far)` after every `every`
-    /// accesses, with a final call for a trailing partial epoch (or an
-    /// empty trace) — the hierarchy counterpart of
-    /// [`CntCache::run_observed`].
-    ///
-    /// # Errors
-    ///
-    /// Stops at and returns the first [`AccessError`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `every` is zero.
-    pub fn run_observed<'a, I, F>(
-        &mut self,
-        trace: I,
-        every: u64,
-        mut epoch_hook: F,
-    ) -> Result<usize, AccessError>
-    where
-        I: IntoIterator<Item = &'a MemoryAccess>,
-        F: FnMut(&Self, u64, u64),
-    {
-        assert!(every > 0, "epoch length must be positive");
-        let mut n: u64 = 0;
-        let mut epoch: u64 = 0;
-        for access in trace {
-            self.access(access)?;
-            n += 1;
-            if n.is_multiple_of(every) {
-                epoch_hook(self, epoch, n);
-                epoch += 1;
-            }
-        }
-        if !n.is_multiple_of(every) || n == 0 {
-            epoch_hook(self, epoch, n);
-        }
-        Ok(n as usize)
+        replay_from(self, trace, 0, None, |_, _| {}).map(|n| n as usize)
     }
 
     /// Flushes every level (L1s through the L2, then the L2 to memory).

@@ -9,7 +9,8 @@
 //!   sequential and parallel execution;
 //! - [`Snapshot`] — epoch captures of per-level [`cnt_sim::CacheStats`],
 //!   [`cnt_energy::EnergyBreakdown`], predictor/encoding counters, and
-//!   deferred-update FIFO occupancy;
+//!   deferred-update FIFO occupancy, emitted by one [`EpochEmitter`] per
+//!   replay;
 //! - [`sink`] — a global collector that orders interleaved snapshots by
 //!   (experiment id, epoch) before they are rendered to JSON Lines;
 //! - [`local`] — thread-local session sinks, so a multi-tenant replay
@@ -46,7 +47,6 @@ pub use sink::{
     drain, epoch_len, install, is_enabled, pending, preload, record, registry, to_jsonl,
 };
 pub use snapshot::{
-    replay, replay_batch, replay_hierarchy, replay_into, validate_jsonl, validate_sessions_jsonl,
-    DeltaTracker, FifoSnapshot, IngestSnapshot, JsonlSummary, LevelSnapshot, SessionsSummary,
-    Snapshot,
+    replay, replay_into, validate_jsonl, validate_sessions_jsonl, EpochEmitter, FifoSnapshot,
+    IngestSnapshot, JsonlSummary, LevelSnapshot, Observed, SessionsSummary, Snapshot,
 };

@@ -9,10 +9,14 @@
 
 use serde::{Deserialize, Serialize};
 
-use cnt_cache::{CntCache, CntHierarchy, EncodingCounters, ReliabilityCounters};
+use std::borrow::Borrow;
+
+use cnt_cache::{
+    replay_from, CntCache, CntHierarchy, EncodingCounters, ReliabilityCounters, Replay,
+};
 use cnt_encoding::FifoStats;
 use cnt_energy::EnergyBreakdown;
-use cnt_sim::trace::{AccessBatch, Trace};
+use cnt_sim::trace::MemoryAccess;
 use cnt_sim::{AccessError, CacheStats};
 
 use crate::{scope, sink};
@@ -65,8 +69,7 @@ pub struct LevelSnapshot {
     pub energy: EnergyBreakdown,
     /// Energy spent in this epoch alone: `energy` minus the previous
     /// epoch's `energy` (equal to `energy` at epoch 0). Filled by
-    /// [`DeltaTracker`]; emitters that bypass it leave the cumulative
-    /// value here.
+    /// [`EpochEmitter::emit`].
     pub energy_delta: EnergyBreakdown,
     /// Predictor windows, flips taken/rejected, projected vs realized
     /// savings.
@@ -86,7 +89,7 @@ impl LevelSnapshot {
             level: cache.name().to_string(),
             stats: cache.stats().clone(),
             energy: cache.meter().breakdown().clone(),
-            // Delta-from-zero until a DeltaTracker refines it.
+            // Delta-from-zero until the emitter refines it.
             energy_delta: cache.meter().breakdown().clone(),
             encoding: *cache.encoding_counters(),
             fifo: FifoSnapshot {
@@ -117,41 +120,6 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Captures a single-level replay.
-    pub fn capture(cache: &CntCache, experiment: &str, epoch: u64, accesses: u64) -> Self {
-        Snapshot {
-            experiment: experiment.to_string(),
-            epoch,
-            accesses,
-            levels: vec![LevelSnapshot::capture(cache)],
-            ingest: None,
-        }
-    }
-
-    /// Captures every level of a hierarchy (L1I, L1D, and L2 when
-    /// present).
-    pub fn capture_hierarchy(
-        hierarchy: &CntHierarchy,
-        experiment: &str,
-        epoch: u64,
-        accesses: u64,
-    ) -> Self {
-        let mut levels = vec![
-            LevelSnapshot::capture(hierarchy.l1i()),
-            LevelSnapshot::capture(hierarchy.l1d()),
-        ];
-        if let Some(l2) = hierarchy.l2() {
-            levels.push(LevelSnapshot::capture(l2));
-        }
-        Snapshot {
-            experiment: experiment.to_string(),
-            epoch,
-            accesses,
-            levels,
-            ingest: None,
-        }
-    }
-
     /// A snapshot with no levels — only useful as a sink-test fixture.
     pub fn empty(experiment: &str, epoch: u64, accesses: u64) -> Self {
         Snapshot {
@@ -164,141 +132,232 @@ impl Snapshot {
     }
 }
 
-/// Rewrites each level's `energy_delta` from cumulative to per-epoch by
-/// remembering the previous epoch's accumulators, per level index.
+/// A replay target whose cache levels a [`Snapshot`] captures.
+pub trait Observed: Replay {
+    /// Registry counter bumped once per replay [`replay`] observes.
+    const REPLAYS_COUNTER: &'static str;
+
+    /// Captures every cache level, in a fixed order.
+    fn levels(&self) -> Vec<LevelSnapshot>;
+}
+
+impl Observed for CntCache {
+    const REPLAYS_COUNTER: &'static str = "obs.replays_observed";
+
+    fn levels(&self) -> Vec<LevelSnapshot> {
+        vec![LevelSnapshot::capture(self)]
+    }
+}
+
+impl Observed for CntHierarchy {
+    const REPLAYS_COUNTER: &'static str = "obs.hierarchy_replays_observed";
+
+    /// L1I, L1D, and the L2 when present.
+    fn levels(&self) -> Vec<LevelSnapshot> {
+        let mut levels = vec![
+            LevelSnapshot::capture(self.l1i()),
+            LevelSnapshot::capture(self.l1d()),
+        ];
+        if let Some(l2) = self.l2() {
+            levels.push(LevelSnapshot::capture(l2));
+        }
+        levels
+    }
+}
+
+/// Emits one replay's epoch snapshots.
 ///
-/// One tracker per replay: feed it every snapshot of that replay in
-/// epoch order (exactly how the `replay*` emitters in this module call
-/// it).
+/// [`replay_from`] decides where epochs end; the emitter owns everything
+/// else the epoch rule needs: the replay id, the next epoch index, the
+/// previous epoch's energy (to turn cumulative energy into per-epoch
+/// `energy_delta`), the destination (the global sink or a caller's
+/// buffer), and — in [`finish`](Self::finish) — the trailing partial
+/// epoch.
 ///
 /// # Example
 ///
 /// ```
-/// use cnt_obs::DeltaTracker;
-/// # use cnt_obs::Snapshot;
-/// let mut deltas = DeltaTracker::new();
-/// let mut snapshot = Snapshot::empty("demo", 0, 0);
-/// deltas.apply(&mut snapshot); // epoch 0: delta == cumulative
+/// use cnt_cache::{CntCache, CntCacheConfig};
+/// use cnt_obs::EpochEmitter;
+/// use cnt_sim::trace::{MemoryAccess, Trace};
+/// use cnt_sim::Address;
+///
+/// let line = Address::new(0x40);
+/// let trace = Trace::from_iter([
+///     MemoryAccess::write(line, 8, 0xFF),
+///     MemoryAccess::read(line, 8),
+///     MemoryAccess::read(line, 8),
+/// ]);
+/// let mut cache = CntCache::new(CntCacheConfig::builder().build()?)?;
+/// let mut out = Vec::new();
+/// EpochEmitter::into_buffer("demo", 2, &mut out).replay(&mut cache, &trace)?;
+/// // One full epoch, then the trailing partial one.
+/// assert_eq!(out.iter().map(|s| s.accesses).collect::<Vec<_>>(), [2, 3]);
+/// // Epoch 0's delta is its cumulative energy; epoch 1's is its own.
+/// let (first, last) = (&out[0].levels[0], &out[1].levels[0]);
+/// assert_eq!(first.energy_delta, first.energy);
+/// assert_eq!(last.energy_delta, last.energy.clone() - first.energy.clone());
+/// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Default)]
-pub struct DeltaTracker {
-    prev: Vec<EnergyBreakdown>,
+#[derive(Debug)]
+pub struct EpochEmitter<'a> {
+    every: u64,
+    experiment: String,
+    epoch: u64,
+    /// Per-level cumulative energy at the last emitted epoch.
+    delta_prev: Vec<EnergyBreakdown>,
+    /// `None` records into the global sink.
+    out: Option<&'a mut Vec<Snapshot>>,
 }
 
-impl DeltaTracker {
-    /// A tracker with no history (first epoch's delta = cumulative).
-    pub fn new() -> Self {
-        DeltaTracker::default()
+impl EpochEmitter<'static> {
+    /// An emitter for a fresh replay into the global sink, named by
+    /// [`scope::next_replay_path`]. `None` — allocating no id — when
+    /// tracing is disabled.
+    pub fn global() -> Option<Self> {
+        let every = sink::epoch_len()?;
+        Some(EpochEmitter::resumed(
+            every,
+            scope::next_replay_path(),
+            0,
+            Vec::new(),
+        ))
     }
 
-    /// A tracker resuming from the per-level cumulative accumulators of
-    /// the last emitted epoch — what [`state`](Self::state) returned when
-    /// the run was checkpointed. A resumed replay's next delta is then
-    /// computed against the correct previous epoch instead of zero.
-    pub fn seeded(prev: Vec<EnergyBreakdown>) -> Self {
-        DeltaTracker { prev }
-    }
-
-    /// The per-level cumulative accumulators of the last applied epoch
-    /// (what a checkpoint must save to [`seeded`](Self::seeded) later).
-    pub fn state(&self) -> &[EnergyBreakdown] {
-        &self.prev
-    }
-
-    /// Rewrites `energy_delta` on every level of `snapshot` and records
-    /// the cumulative values for the next epoch.
-    pub fn apply(&mut self, snapshot: &mut Snapshot) {
-        for (i, level) in snapshot.levels.iter_mut().enumerate() {
-            let cumulative = level.energy.clone();
-            level.energy_delta = match self.prev.get(i) {
-                Some(prev) => cumulative.clone() - prev.clone(),
-                None => cumulative.clone(),
-            };
-            if i < self.prev.len() {
-                self.prev[i] = cumulative;
-            } else {
-                self.prev.push(cumulative);
-            }
+    /// An emitter continuing replay `experiment` into the global sink at
+    /// epoch `epoch`, measuring the next `energy_delta` from `delta_prev`:
+    /// the state a checkpoint saved from [`experiment`](Self::experiment),
+    /// [`epoch`](Self::epoch) and [`delta_prev`](Self::delta_prev).
+    pub fn resumed(
+        every: u64,
+        experiment: String,
+        epoch: u64,
+        delta_prev: Vec<EnergyBreakdown>,
+    ) -> Self {
+        EpochEmitter {
+            every,
+            experiment,
+            epoch,
+            delta_prev,
+            out: None,
         }
     }
 }
 
-/// Replays `trace` through `cache`, emitting one snapshot per epoch to
-/// the global sink when tracing is enabled.
-///
-/// When the sink is disabled (the default) this delegates straight to
-/// [`CntCache::run`] and adds exactly one relaxed atomic load — the hot
-/// path stays allocation-free (see `tests/no_alloc_disabled.rs`).
-///
-/// # Errors
-///
-/// Propagates [`AccessError`] from the underlying replay.
-pub fn replay(cache: &mut CntCache, trace: &Trace) -> Result<usize, AccessError> {
-    let Some(every) = sink::epoch_len() else {
-        return cache.run(trace.iter());
-    };
-    let experiment = scope::next_replay_path();
-    sink::registry().counter("obs.replays_observed").inc();
-    let mut deltas = DeltaTracker::new();
-    cache.run_observed(trace.iter(), every, |cache, epoch, accesses| {
-        let mut snapshot = Snapshot::capture(cache, &experiment, epoch, accesses);
-        deltas.apply(&mut snapshot);
-        sink::record(snapshot);
-    })
+impl<'a> EpochEmitter<'a> {
+    /// An emitter collecting into `out` instead of the global sink —
+    /// independent of process-wide state, so tests can run in parallel.
+    pub fn into_buffer(experiment: &str, every: u64, out: &'a mut Vec<Snapshot>) -> Self {
+        EpochEmitter {
+            every,
+            experiment: experiment.to_string(),
+            epoch: 0,
+            delta_prev: Vec::new(),
+            out: Some(out),
+        }
+    }
+
+    /// Accesses per epoch.
+    pub fn every(&self) -> u64 {
+        self.every
+    }
+
+    /// The replay id.
+    pub fn experiment(&self) -> &str {
+        &self.experiment
+    }
+
+    /// The index the next emitted epoch gets.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// Per-level cumulative energy at the last emitted epoch.
+    pub fn delta_prev(&self) -> &[EnergyBreakdown] {
+        &self.delta_prev
+    }
+
+    /// Emits the epoch that ends after `accesses` accesses.
+    pub fn emit(&mut self, target: &impl Observed, accesses: u64, ingest: Option<IngestSnapshot>) {
+        let mut levels = target.levels();
+        for (level, prev) in levels.iter_mut().zip(&self.delta_prev) {
+            level.energy_delta = level.energy.clone() - prev.clone();
+        }
+        self.delta_prev = levels.iter().map(|level| level.energy.clone()).collect();
+        let snapshot = Snapshot {
+            experiment: self.experiment.clone(),
+            epoch: self.epoch,
+            accesses,
+            levels,
+            ingest,
+        };
+        self.epoch += 1;
+        match self.out.as_deref_mut() {
+            Some(out) => out.push(snapshot),
+            None => sink::record(snapshot),
+        }
+    }
+
+    /// Ends a replay of `accesses` accesses: emits the trailing partial
+    /// epoch — or the only epoch of an empty replay — so the last
+    /// accesses are never silently dropped.
+    pub fn finish(mut self, target: &impl Observed, accesses: u64, ingest: Option<IngestSnapshot>) {
+        if accesses == 0 || !accesses.is_multiple_of(self.every) {
+            self.emit(target, accesses, ingest);
+        }
+    }
+
+    /// Replays `accesses` through `target` from the first access,
+    /// emitting every epoch and then [`finish`](Self::finish)ing.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`AccessError`] from the underlying replay.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the epoch length is zero.
+    pub fn replay<T, I>(mut self, target: &mut T, accesses: I) -> Result<usize, AccessError>
+    where
+        T: Observed,
+        I: IntoIterator,
+        I::Item: Borrow<MemoryAccess>,
+    {
+        let every = Some(self.every);
+        let n = replay_from(target, accesses, 0, every, |t, n| self.emit(t, n, None))?;
+        self.finish(target, n, None);
+        Ok(n as usize)
+    }
 }
 
-/// Batched counterpart of [`replay`]: streams a struct-of-arrays
-/// [`AccessBatch`] through `cache`, emitting one snapshot per epoch to
-/// the global sink when tracing is enabled.
+/// Replays `accesses` through `target` — a [`CntCache`] over a `&Trace`,
+/// an `AccessBatch::iter()`, or a whole [`CntHierarchy`] — emitting one
+/// snapshot per epoch to the global sink when tracing is enabled.
 ///
-/// When the sink is disabled this delegates straight to the columnar
-/// [`CntCache::run_batch`] loop — the SIMD-friendly hot path of the
-/// throughput benchmark. The snapshot stream under an installed sink is
-/// byte-identical to [`replay`] over the same records.
-///
-/// # Errors
-///
-/// Propagates [`AccessError`] from the underlying replay.
-pub fn replay_batch(cache: &mut CntCache, batch: &AccessBatch) -> Result<usize, AccessError> {
-    let Some(every) = sink::epoch_len() else {
-        return cache.run_batch(batch);
-    };
-    let experiment = scope::next_replay_path();
-    sink::registry().counter("obs.replays_observed").inc();
-    let mut deltas = DeltaTracker::new();
-    cache.run_batch_observed(batch, every, |cache, epoch, accesses| {
-        let mut snapshot = Snapshot::capture(cache, &experiment, epoch, accesses);
-        deltas.apply(&mut snapshot);
-        sink::record(snapshot);
-    })
-}
-
-/// Replays `trace` through a full hierarchy, emitting one multi-level
-/// snapshot per epoch to the global sink when tracing is enabled — the
-/// hierarchy counterpart of [`replay`], used by the placement study.
+/// When the sink is disabled (the default) this adds exactly one relaxed
+/// atomic load to the plain [`replay_from`] loop — the hot path stays
+/// allocation-free (see `tests/no_alloc_disabled.rs`).
 ///
 /// # Errors
 ///
 /// Propagates [`AccessError`] from the underlying replay.
-pub fn replay_hierarchy(hierarchy: &mut CntHierarchy, trace: &Trace) -> Result<usize, AccessError> {
-    let Some(every) = sink::epoch_len() else {
-        return hierarchy.run(trace.iter());
-    };
-    let experiment = scope::next_replay_path();
-    sink::registry()
-        .counter("obs.hierarchy_replays_observed")
-        .inc();
-    let mut deltas = DeltaTracker::new();
-    hierarchy.run_observed(trace.iter(), every, |hierarchy, epoch, accesses| {
-        let mut snapshot = Snapshot::capture_hierarchy(hierarchy, &experiment, epoch, accesses);
-        deltas.apply(&mut snapshot);
-        sink::record(snapshot);
-    })
+pub fn replay<T, I>(target: &mut T, accesses: I) -> Result<usize, AccessError>
+where
+    T: Observed,
+    I: IntoIterator,
+    I::Item: Borrow<MemoryAccess>,
+{
+    match EpochEmitter::global() {
+        Some(emitter) => {
+            sink::registry().counter(T::REPLAYS_COUNTER).inc();
+            emitter.replay(target, accesses)
+        }
+        None => replay_from(target, accesses, 0, None, |_, _| {}).map(|n| n as usize),
+    }
 }
 
 /// Like [`replay`] but collecting into a caller-supplied buffer instead
-/// of the global sink — independent of process-wide state, so tests can
-/// run in parallel.
+/// of the global sink.
 ///
 /// # Errors
 ///
@@ -307,19 +366,19 @@ pub fn replay_hierarchy(hierarchy: &mut CntHierarchy, trace: &Trace) -> Result<u
 /// # Panics
 ///
 /// Panics if `every` is zero.
-pub fn replay_into(
-    cache: &mut CntCache,
-    trace: &Trace,
+pub fn replay_into<T, I>(
+    target: &mut T,
+    accesses: I,
     experiment: &str,
     every: u64,
     out: &mut Vec<Snapshot>,
-) -> Result<usize, AccessError> {
-    let mut deltas = DeltaTracker::new();
-    cache.run_observed(trace.iter(), every, |cache, epoch, accesses| {
-        let mut snapshot = Snapshot::capture(cache, experiment, epoch, accesses);
-        deltas.apply(&mut snapshot);
-        out.push(snapshot);
-    })
+) -> Result<usize, AccessError>
+where
+    T: Observed,
+    I: IntoIterator,
+    I::Item: Borrow<MemoryAccess>,
+{
+    EpochEmitter::into_buffer(experiment, every, out).replay(target, accesses)
 }
 
 /// A summary of a validated JSONL metrics stream.
@@ -338,15 +397,18 @@ pub struct JsonlSummary {
 /// them non-decreasing too, consumption can never outrun reading, and
 /// the prefetch gauge must stay strictly below the read-but-unconsumed
 /// chunk gap (counting the in-flight chunk as buffered was a real bug).
+/// Per experiment and level, the running sum of `energy_delta` totals
+/// must match the cumulative `energy` total within 1e-9 relative — a
+/// stream of cumulative "deltas" fails on its second epoch.
 ///
 /// # Errors
 ///
 /// Returns a message naming the first offending line.
 pub fn validate_jsonl(text: &str) -> Result<JsonlSummary, String> {
-    // (experiment, last epoch, last accesses, level count) per stream;
-    // linear scan is fine for lint-sized inputs and keeps ordering
-    // deterministic.
-    let mut streams: Vec<(String, u64, u64, usize)> = Vec::new();
+    // (experiment, last epoch, last accesses, per-level running delta
+    // sums) per stream; linear scan is fine for lint-sized inputs and
+    // keeps ordering deterministic.
+    let mut streams: Vec<(String, u64, u64, Vec<f64>)> = Vec::new();
     let mut ingests: Vec<(String, IngestSnapshot)> = Vec::new();
     let mut snapshots = 0usize;
     for (idx, line) in text.lines().enumerate() {
@@ -415,7 +477,11 @@ pub fn validate_jsonl(text: &str) -> Result<JsonlSummary, String> {
                 }
             }
         }
-        match streams
+        let deltas = snapshot
+            .levels
+            .iter()
+            .map(|level| level.energy_delta.total().femtojoules());
+        let sums = match streams
             .iter_mut()
             .find(|(id, _, _, _)| *id == snapshot.experiment)
         {
@@ -430,10 +496,11 @@ pub fn validate_jsonl(text: &str) -> Result<JsonlSummary, String> {
                     snapshot.experiment.clone(),
                     0,
                     snapshot.accesses,
-                    snapshot.levels.len(),
+                    deltas.collect(),
                 ));
+                &streams.last().expect("just pushed").3
             }
-            Some((id, last_epoch, last_accesses, levels)) => {
+            Some((id, last_epoch, last_accesses, sums)) => {
                 if snapshot.epoch != *last_epoch + 1 {
                     return Err(format!(
                         "line {lineno}: experiment `{id}` jumps from epoch {last_epoch} to {}",
@@ -450,15 +517,30 @@ pub fn validate_jsonl(text: &str) -> Result<JsonlSummary, String> {
                 // A resumed stream spliced onto the wrong run changes the
                 // hierarchy shape mid-experiment; an uninterrupted (or
                 // correctly resumed) one never does.
-                if snapshot.levels.len() != *levels {
+                if snapshot.levels.len() != sums.len() {
                     return Err(format!(
-                        "line {lineno}: experiment `{id}` changes from {levels} cache \
+                        "line {lineno}: experiment `{id}` changes from {} cache \
                          levels to {} mid-stream",
+                        sums.len(),
                         snapshot.levels.len()
                     ));
                 }
                 *last_epoch = snapshot.epoch;
                 *last_accesses = snapshot.accesses;
+                for (sum, delta) in sums.iter_mut().zip(deltas) {
+                    *sum += delta;
+                }
+                sums
+            }
+        };
+        for (level, sum) in snapshot.levels.iter().zip(sums) {
+            let total = level.energy.total().femtojoules();
+            if (sum - total).abs() > 1e-9 * total.abs().max(sum.abs()) {
+                return Err(format!(
+                    "line {lineno}: experiment `{}` level {}: energy deltas sum to {sum} fJ \
+                     but cumulative energy is {total} fJ",
+                    snapshot.experiment, level.level
+                ));
             }
         }
         snapshots += 1;
@@ -705,6 +787,42 @@ mod tests {
         };
         let err = validate_jsonl(&format!("{}\n{two_levels}\n", line("a", 0, 10))).unwrap_err();
         assert!(err.contains("cache levels"), "{err}");
+    }
+
+    #[test]
+    fn validate_rejects_cumulative_energy_deltas() {
+        use cnt_energy::{ChargeKind, EnergyMeter, SramEnergyModel};
+
+        // Two epochs of metered energy; `cumulative` reports each epoch's
+        // running total as its delta, as fault campaigns once did.
+        let mut meter = EnergyMeter::new(SramEnergyModel::cnfet_default());
+        let mut epochs = Vec::new();
+        for value in [0xFFFF_u64, 0x0F0F_0F0F] {
+            meter.charge_write_word_kind(value, 64, ChargeKind::DataWrite);
+            epochs.push(meter.breakdown().clone());
+        }
+        let stream = |cumulative: bool| {
+            let mut text = String::new();
+            for (epoch, energy) in epochs.iter().enumerate() {
+                let mut snapshot: Snapshot =
+                    serde_json::from_str(&line("a", epoch as u64, 10 * epoch as u64 + 10))
+                        .expect("parses");
+                snapshot.levels[0].energy = energy.clone();
+                snapshot.levels[0].energy_delta = match epoch {
+                    1 if !cumulative => energy.clone() - epochs[0].clone(),
+                    _ => energy.clone(),
+                };
+                text.push_str(&serde_json::to_string(&snapshot).expect("serializes"));
+                text.push('\n');
+            }
+            text
+        };
+        validate_jsonl(&stream(false)).expect("per-epoch deltas accepted");
+        let err = validate_jsonl(&stream(true)).unwrap_err();
+        assert!(
+            err.contains("line 2") && err.contains("deltas sum"),
+            "{err}"
+        );
     }
 
     #[test]
