@@ -34,8 +34,8 @@ use crate::replay::replay_from;
 use crate::report::{EncodingCounters, EnergyReport, ReliabilityCounters};
 
 /// Per-line encoding state: direction bits, window counters, and the
-/// sticky-classifier streak.
-#[derive(Debug, Clone, Copy)]
+/// sticky-classifier streak. Checkpoints carry it as is.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 struct LineState {
     dirs: ProtectedDirectionBits,
     /// Window counters in a protected register: the H field is guarded
@@ -63,16 +63,6 @@ impl LineState {
     }
 }
 
-/// One line's encoding state as it travels through a checkpoint.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub(crate) struct LineStateSnapshot {
-    dirs: ProtectedDirectionBits,
-    history: ProtectedHistory,
-    last_pattern: Option<cnt_encoding::AccessPattern>,
-    streak: u32,
-    pinned: bool,
-}
-
 /// Everything a [`CntCache`] needs to resume exactly where it stopped:
 /// the data-carrying cache, the backing memory, per-line encoding state,
 /// the deferred-update FIFO, every counter, and the accumulated energy
@@ -81,7 +71,7 @@ pub(crate) struct LineStateSnapshot {
 pub(crate) struct CacheCheckpoint {
     cache: CacheSnapshot,
     memory: MemorySnapshot,
-    states: Vec<LineStateSnapshot>,
+    states: Vec<LineState>,
     fifo_queue: Vec<PendingUpdate>,
     fifo_stats: FifoStats,
     counters: EncodingCounters,
@@ -1228,41 +1218,51 @@ impl CntCache {
                 )));
             }
         }
-        let partition_mask = if partitions == 64 {
-            u64::MAX
-        } else {
-            (1u64 << partitions) - 1
-        };
         for update in self.fifo.iter() {
-            if update.set >= geometry.num_sets()
-                || u64::from(update.way) >= u64::from(geometry.associativity())
-            {
-                return Err(AuditError::new(format!(
-                    "fifo references out-of-range location set {} way {}",
-                    update.set, update.way
-                )));
-            }
-            if update.flips & !partition_mask != 0 {
-                return Err(AuditError::new(format!(
-                    "fifo flip mask {:#x} has bits above the {partitions}-partition layout",
-                    update.flips
-                )));
-            }
-            if update.flips == 0 {
-                return Err(AuditError::new("fifo holds a no-op update".to_string()));
-            }
-            if !update.saving_fj.is_finite() || update.saving_fj < 0.0 {
-                return Err(AuditError::new(format!(
-                    "fifo update carries a non-finite or negative projected saving {}",
-                    update.saving_fj
-                )));
-            }
+            self.check_update(update).map_err(AuditError::new)?;
             if !self.cache.line_at(update.location()).is_valid() {
                 return Err(AuditError::new(format!(
                     "fifo update targets invalid line at set {} way {}",
                     update.set, update.way
                 )));
             }
+        }
+        Ok(())
+    }
+
+    /// Checks one queued update against the geometry and the partition
+    /// layout: a location inside the array, a non-empty flip set within
+    /// the partitions, and a finite, non-negative projected saving.
+    fn check_update(&self, update: &PendingUpdate) -> Result<(), String> {
+        let geometry = &self.config.geometry;
+        let partitions = self.codec.layout().partitions();
+        if update.set >= geometry.num_sets()
+            || u64::from(update.way) >= u64::from(geometry.associativity())
+        {
+            return Err(format!(
+                "fifo references out-of-range location set {} way {}",
+                update.set, update.way
+            ));
+        }
+        let partition_mask = if partitions == 64 {
+            u64::MAX
+        } else {
+            (1u64 << partitions) - 1
+        };
+        if update.flips & !partition_mask != 0 {
+            return Err(format!(
+                "fifo flip mask {:#x} has bits above the {partitions}-partition layout",
+                update.flips
+            ));
+        }
+        if update.flips == 0 {
+            return Err("fifo holds a no-op update".to_string());
+        }
+        if !update.saving_fj.is_finite() || update.saving_fj < 0.0 {
+            return Err(format!(
+                "fifo update carries a non-finite or negative projected saving {}",
+                update.saving_fj
+            ));
         }
         Ok(())
     }
@@ -1276,17 +1276,7 @@ impl CntCache {
         CacheCheckpoint {
             cache: self.cache.snapshot(),
             memory: self.memory.snapshot(),
-            states: self
-                .states
-                .iter()
-                .map(|s| LineStateSnapshot {
-                    dirs: s.dirs,
-                    history: s.history,
-                    last_pattern: s.last_pattern,
-                    streak: s.streak,
-                    pinned: s.pinned,
-                })
-                .collect(),
+            states: self.states.clone(),
             fifo_queue: self.fifo.iter().copied().collect(),
             fifo_stats: *self.fifo.stats(),
             counters: self.counters,
@@ -1297,8 +1287,9 @@ impl CntCache {
     }
 
     /// Replaces the cache's state with `ckpt`, validating every shape
-    /// against the live configuration *before* mutating anything: on
-    /// error the cache is exactly as it was (never a partial restore).
+    /// and every queued FIFO update (the check [`audit`](Self::audit)
+    /// runs) against the live configuration *before* mutating anything:
+    /// on error the cache is exactly as it was (never a partial restore).
     pub(crate) fn restore_from(&mut self, ckpt: CacheCheckpoint) -> Result<(), String> {
         let expected = self.config.geometry.num_lines() as usize;
         if ckpt.states.len() != expected {
@@ -1337,6 +1328,9 @@ impl CntCache {
                 ));
             }
         }
+        for update in &ckpt.fifo_queue {
+            self.check_update(update)?;
+        }
         // Build every fallible piece on the side first ...
         let memory = MainMemory::from_snapshot(ckpt.memory)?;
         let mut fifo = self.fifo.clone();
@@ -1349,17 +1343,7 @@ impl CntCache {
         self.cache.restore(ckpt.cache)?;
         self.memory = memory;
         self.fifo = fifo;
-        self.states = ckpt
-            .states
-            .into_iter()
-            .map(|s| LineState {
-                dirs: s.dirs,
-                history: s.history,
-                last_pattern: s.last_pattern,
-                streak: s.streak,
-                pinned: s.pinned,
-            })
-            .collect();
+        self.states = ckpt.states;
         self.counters = ckpt.counters;
         self.reliability = ckpt.reliability;
         self.degraded_lines = ckpt.degraded_lines;
@@ -2068,6 +2052,82 @@ mod tests {
             target.restore_state(b"not json"),
             Err(CheckpointError::BadState { .. })
         ));
+
+        // A queued update the array cannot hold: out-of-range set or way,
+        // no flips, flips above the 8 partitions, or a negative saving.
+        // The FIFO stats are adjusted to the one-entry queue so only the
+        // entry itself is at fault.
+        let with_queue = |update: PendingUpdate| {
+            let text = std::str::from_utf8(&bytes).expect("utf-8");
+            let mut ckpt: CacheCheckpoint = serde_json::from_str(text).expect("decodes");
+            let stats = &mut ckpt.fifo_stats;
+            stats.pushed = stats.drained + stats.cancelled + stats.dropped_from_queue + 1;
+            stats.max_occupancy = stats.max_occupancy.max(1);
+            ckpt.fifo_queue = vec![update];
+            serde_json::to_string(&ckpt).expect("encodes").into_bytes()
+        };
+        let valid = PendingUpdate {
+            set: 0,
+            way: 1,
+            flips: 1,
+            saving_fj: 2.5,
+        };
+        let mut target = CntCache::new(config(adaptive(4, 8))).expect("valid");
+        target
+            .restore_state(&with_queue(valid))
+            .expect("an in-range update restores");
+        for bad in [
+            PendingUpdate { set: 9999, ..valid },
+            PendingUpdate { way: 2, ..valid },
+            PendingUpdate { flips: 0, ..valid },
+            PendingUpdate {
+                flips: 0x100,
+                ..valid
+            },
+            PendingUpdate {
+                saving_fj: -1.0,
+                ..valid
+            },
+        ] {
+            let mut target = CntCache::new(config(adaptive(4, 8))).expect("valid");
+            churn(&mut target, 0..10);
+            let before = report_json(&target);
+            let err = target
+                .restore_state(&with_queue(bad))
+                .expect_err("must refuse");
+            assert!(
+                matches!(&err, CheckpointError::BadState { what, .. } if what.contains("fifo")),
+                "{bad:?}: unexpected error {err:?}"
+            );
+            assert_eq!(report_json(&target), before, "{bad:?}: partial restore");
+        }
+    }
+
+    #[test]
+    fn line_state_serialized_form_is_pinned() {
+        // Checkpoints store the live per-line state as is; the JSON must
+        // not move.
+        let mut dirs = ProtectedDirectionBits::all_normal(4, ProtectionMode::Secded);
+        dirs.apply_flips(0b0101);
+        let mut history = ProtectedHistory::new(8, ProtectionMode::Secded);
+        history.record(true);
+        history.record(false);
+        history.record(false);
+        let state = LineState {
+            dirs,
+            history,
+            last_pattern: Some(cnt_encoding::AccessPattern::ReadIntensive),
+            streak: 3,
+            pinned: true,
+        };
+        let json = concat!(
+            r#"{"dirs":{"dirs":{"mask":5,"partitions":4},"mode":"Secded","check":5},"#,
+            r#""history":{"a_num":3,"wr_num":1,"window":8,"mode":"Secded","check":31},"#,
+            r#""last_pattern":"ReadIntensive","streak":3,"pinned":true}"#
+        );
+        assert_eq!(serde_json::to_string(&state).expect("serializes"), json);
+        let back: LineState = serde_json::from_str(json).expect("decodes");
+        assert_eq!(back, state);
     }
 
     #[test]

@@ -8,14 +8,14 @@ use crate::config::CacheGeometry;
 use crate::line::CacheLine;
 use crate::memory::{check_access, extract, splice};
 use crate::replacement::{ReplacementKind, ReplacementState};
-use crate::set::CacheSet;
 use crate::stats::CacheStats;
 
 /// Serializable image of a cache's mutable state: every line
-/// (set-major, way-minor), per-set replacement state, and statistics.
-/// The shape itself (geometry, write mode, prefetch policy) is *not*
-/// captured — a snapshot restores only into a cache built with the same
-/// configuration, and [`Cache::restore`] rejects shape mismatches.
+/// (set-major, way-minor), per-set replacement state, and statistics —
+/// the same layout the live [`Cache`] keeps. The shape itself (geometry,
+/// write mode, prefetch policy) is *not* captured — a snapshot restores
+/// only into a cache built with the same configuration, and
+/// [`Cache::restore`] rejects shape mismatches.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct CacheSnapshot {
     /// All lines, flattened as `set * ways + way`.
@@ -192,7 +192,10 @@ pub struct Cache {
     geometry: CacheGeometry,
     write_mode: WriteMode,
     prefetch: PrefetchPolicy,
-    sets: Vec<CacheSet>,
+    /// Every line, set-major: way `w` of set `s` is `lines[s * ways + w]`.
+    lines: Vec<CacheLine>,
+    /// One replacement state per set.
+    policies: Vec<ReplacementState>,
     stats: CacheStats,
     scratch: Vec<u64>,
 }
@@ -206,15 +209,24 @@ impl Cache {
     ) -> Self {
         let ways = geometry.associativity() as usize;
         let words = geometry.words_per_line();
-        let sets = (0..geometry.num_sets())
-            .map(|i| CacheSet::new(ways, words, replacement, i))
+        let policies = (0..geometry.num_sets())
+            .map(|set| match replacement {
+                // A distinct RNG stream per set, so every set does not
+                // evict the same way sequence.
+                ReplacementKind::Random { seed } => ReplacementKind::Random {
+                    seed: seed ^ set.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                },
+                other => other,
+            })
+            .map(|kind| kind.build(ways))
             .collect();
         Cache {
             name: name.into(),
             geometry,
             write_mode: WriteMode::WriteBack,
             prefetch: PrefetchPolicy::None,
-            sets,
+            lines: vec![CacheLine::new_invalid(words); geometry.num_lines() as usize],
+            policies,
             stats: CacheStats::default(),
             scratch: vec![0; words],
         }
@@ -309,9 +321,8 @@ impl Cache {
         let (location, hit, evicted) = self.ensure_line(addr, lower, observer);
         self.stats.record_read(hit);
         let word_index = (addr.offset_in(u64::from(self.geometry.line_bytes())) / 8) as usize;
-        let set = &mut self.sets[location.set as usize];
-        set.touch_hit(location.way as usize);
-        let word = set.line(location.way as usize).read_word(word_index);
+        self.policies[location.set as usize].on_hit(location.way as usize);
+        let word = self.line_at(location).read_word(word_index);
         observer.word_read(location, word_index, word);
         let value = extract(word, addr.offset_in(8), width);
         if !hit {
@@ -365,7 +376,7 @@ impl Cache {
         // Write-around: a miss under no-allocate bypasses the array.
         if self.write_mode == WriteMode::WriteThroughNoAllocate {
             let parts = self.geometry.split(addr);
-            if self.sets[parts.set as usize].find(parts.tag).is_none() {
+            if self.find_way(parts.set, parts.tag).is_none() {
                 self.stats.record_write(false);
                 self.stats.writethroughs += 1;
                 // Sub-word stores read-modify-write the backing word; the
@@ -392,9 +403,9 @@ impl Cache {
         let (location, hit, evicted) = self.ensure_line(addr, lower, observer);
         self.stats.record_write(hit);
         let word_index = (addr.offset_in(u64::from(self.geometry.line_bytes())) / 8) as usize;
-        let set = &mut self.sets[location.set as usize];
-        set.touch_hit(location.way as usize);
-        let line = set.line_mut(location.way as usize);
+        self.policies[location.set as usize].on_hit(location.way as usize);
+        let slot = self.slot(location);
+        let line = &mut self.lines[slot];
         let old = line.read_word(word_index);
         let new = splice(old, addr.offset_in(8), width, value);
         line.write_word(word_index, new);
@@ -431,7 +442,7 @@ impl Cache {
         let line_bytes = u64::from(self.geometry.line_bytes());
         let next = demand_addr.align_down(line_bytes) + line_bytes;
         let parts = self.geometry.split(next);
-        if self.sets[parts.set as usize].find(parts.tag).is_some() {
+        if self.find_way(parts.set, parts.tag).is_some() {
             return; // already resident
         }
         let _ = self.ensure_line(next, lower, observer);
@@ -446,8 +457,7 @@ impl Cache {
         observer: &mut dyn ArrayObserver,
     ) -> (LineLocation, bool, Option<(Address, bool)>) {
         let parts = self.geometry.split(addr);
-        let set_index = parts.set as usize;
-        if let Some(way) = self.sets[set_index].find(parts.tag) {
+        if let Some(way) = self.find_way(parts.set, parts.tag) {
             let loc = LineLocation {
                 set: parts.set,
                 way: way as u32,
@@ -455,44 +465,37 @@ impl Cache {
             return (loc, true, None);
         }
 
-        // Miss: choose a target way, evict whatever lives there.
-        let way = self.sets[set_index].fill_target();
+        // Miss: fill an invalid way if one exists, otherwise evict the
+        // policy's victim.
+        let ways = self.ways();
+        let way = match self.set_lines(parts.set).iter().position(|l| !l.is_valid()) {
+            Some(way) => way,
+            None => self.policies[parts.set as usize].victim(ways),
+        };
         let loc = LineLocation {
             set: parts.set,
             way: way as u32,
         };
+        let slot = self.slot(loc);
         let mut evicted = None;
-        {
-            let victim_base;
-            let victim_dirty;
-            {
-                let line = self.sets[set_index].line(way);
-                if line.is_valid() {
-                    victim_base = Some(self.geometry.line_base(line.tag(), parts.set));
-                    victim_dirty = line.is_dirty();
-                } else {
-                    victim_base = None;
-                    victim_dirty = false;
-                }
+        let line = &self.lines[slot];
+        if line.is_valid() {
+            let base = self.geometry.line_base(line.tag(), parts.set);
+            let dirty = line.is_dirty();
+            observer.line_evicted(loc, base, line.as_words(), dirty);
+            if dirty {
+                lower.store_line(base, line.as_words());
+                self.stats.writebacks += 1;
             }
-            if let Some(base) = victim_base {
-                let line = self.sets[set_index].line(way);
-                observer.line_evicted(loc, base, line.as_words(), victim_dirty);
-                if victim_dirty {
-                    lower.store_line(base, line.as_words());
-                    self.stats.writebacks += 1;
-                }
-                self.stats.evictions += 1;
-                evicted = Some((base, victim_dirty));
-            }
+            self.stats.evictions += 1;
+            evicted = Some((base, dirty));
         }
 
         // Fetch the new line from the backing and install it.
         let base = self.geometry.line_base(parts.tag, parts.set);
         lower.load_line(base, &mut self.scratch);
-        let set = &mut self.sets[set_index];
-        set.line_mut(way).fill(parts.tag, &self.scratch);
-        set.touch_fill(way);
+        self.lines[slot].fill(parts.tag, &self.scratch);
+        self.policies[parts.set as usize].on_fill(way);
         self.stats.fills += 1;
         observer.line_filled(loc, base, &self.scratch);
         (loc, false, evicted)
@@ -502,27 +505,17 @@ impl Cache {
     /// returning the number of lines written back.
     pub fn flush(&mut self, lower: &mut dyn Backing, observer: &mut dyn ArrayObserver) -> usize {
         let mut written = 0;
-        for set_index in 0..self.sets.len() {
-            for way in 0..self.sets[set_index].ways() {
-                let (base, dirty);
-                {
-                    let line = self.sets[set_index].line(way);
-                    if !line.is_valid() || !line.is_dirty() {
-                        continue;
-                    }
-                    base = self.geometry.line_base(line.tag(), set_index as u64);
-                    dirty = true;
-                }
-                let loc = LineLocation {
-                    set: set_index as u64,
-                    way: way as u32,
-                };
-                let line = self.sets[set_index].line(way);
-                observer.line_evicted(loc, base, line.as_words(), dirty);
-                lower.store_line(base, line.as_words());
-                self.sets[set_index].line_mut(way).mark_clean();
-                written += 1;
+        for slot in 0..self.lines.len() {
+            let loc = self.location(slot);
+            let line = &mut self.lines[slot];
+            if !line.is_valid() || !line.is_dirty() {
+                continue;
             }
+            let base = self.geometry.line_base(line.tag(), loc.set);
+            observer.line_evicted(loc, base, line.as_words(), true);
+            lower.store_line(base, line.as_words());
+            line.mark_clean();
+            written += 1;
         }
         self.stats.writebacks += written as u64;
         written
@@ -531,21 +524,58 @@ impl Cache {
     /// Looks up the line containing `addr` without disturbing replacement
     /// state or statistics.
     pub fn peek(&self, addr: Address) -> Option<&CacheLine> {
-        let parts = self.geometry.split(addr);
-        let set = &self.sets[parts.set as usize];
-        set.find(parts.tag).map(|way| set.line(way))
+        self.find(addr).map(|loc| self.line_at(loc))
     }
 
     /// The location of the (valid) line containing `addr`, without
     /// disturbing replacement state or statistics.
     pub fn find(&self, addr: Address) -> Option<LineLocation> {
         let parts = self.geometry.split(addr);
-        self.sets[parts.set as usize]
-            .find(parts.tag)
-            .map(|way| LineLocation {
-                set: parts.set,
-                way: way as u32,
-            })
+        self.find_way(parts.set, parts.tag).map(|way| LineLocation {
+            set: parts.set,
+            way: way as u32,
+        })
+    }
+
+    /// The way of `set` holding a valid line tagged `tag`.
+    fn find_way(&self, set: u64, tag: u64) -> Option<usize> {
+        self.set_lines(set)
+            .iter()
+            .position(|l| l.is_valid() && l.tag() == tag)
+    }
+
+    /// The lines of `set`, in way order.
+    fn set_lines(&self, set: u64) -> &[CacheLine] {
+        let ways = self.ways();
+        &self.lines[set as usize * ways..][..ways]
+    }
+
+    fn ways(&self) -> usize {
+        self.geometry.associativity() as usize
+    }
+
+    /// The index of `loc` in the set-major line array.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the location is out of range.
+    fn slot(&self, loc: LineLocation) -> usize {
+        let ways = self.ways();
+        assert!(
+            (loc.way as usize) < ways,
+            "way {} out of range for {ways}-way sets",
+            loc.way
+        );
+        loc.set as usize * ways + loc.way as usize
+    }
+
+    /// The location of the line at `slot` in the set-major line array.
+    fn location(&self, slot: usize) -> LineLocation {
+        let ways = self.ways();
+        LineLocation {
+            set: (slot / ways) as u64,
+            way: (slot % ways) as u32,
+        }
     }
 
     /// Direct access to a line by location (e.g. for the encoding layer).
@@ -554,7 +584,7 @@ impl Cache {
     ///
     /// Panics if the location is out of range.
     pub fn line_at(&self, loc: LineLocation) -> &CacheLine {
-        self.sets[loc.set as usize].line(loc.way as usize)
+        &self.lines[self.slot(loc)]
     }
 
     /// Mutable access to a line by location.
@@ -563,7 +593,8 @@ impl Cache {
     ///
     /// Panics if the location is out of range.
     pub fn line_at_mut(&mut self, loc: LineLocation) -> &mut CacheLine {
-        self.sets[loc.set as usize].line_mut(loc.way as usize)
+        let slot = self.slot(loc);
+        &mut self.lines[slot]
     }
 
     /// The base address of the (valid) line at `loc`.
@@ -580,12 +611,8 @@ impl Cache {
     /// checkpointing.
     pub fn snapshot(&self) -> CacheSnapshot {
         CacheSnapshot {
-            lines: self
-                .sets
-                .iter()
-                .flat_map(|set| (0..set.ways()).map(|w| set.line(w).clone()))
-                .collect(),
-            replacement: self.sets.iter().map(|s| s.replacement_state()).collect(),
+            lines: self.lines.clone(),
+            replacement: self.policies.clone(),
             stats: self.stats.clone(),
         }
     }
@@ -596,23 +623,24 @@ impl Cache {
     /// # Errors
     ///
     /// Fails — leaving this cache untouched — if the snapshot's shape
-    /// does not match this cache (line/set counts, words per line) or a
-    /// replacement state does not fit its set's policy.
+    /// does not match this cache (line/set counts, words per line), a
+    /// set holds two valid lines with the same tag, or a replacement
+    /// state does not fit its set's policy.
     pub fn restore(&mut self, snap: CacheSnapshot) -> Result<(), String> {
-        let ways = self.geometry.associativity() as usize;
-        let sets = self.geometry.num_sets() as usize;
+        let ways = self.ways();
         let words = self.geometry.words_per_line();
-        if snap.lines.len() != sets * ways {
+        if snap.lines.len() != self.lines.len() {
             return Err(format!(
                 "snapshot has {} lines, cache holds {}",
                 snap.lines.len(),
-                sets * ways
+                self.lines.len()
             ));
         }
-        if snap.replacement.len() != sets {
+        if snap.replacement.len() != self.policies.len() {
             return Err(format!(
-                "snapshot has {} replacement states, cache has {sets} sets",
-                snap.replacement.len()
+                "snapshot has {} replacement states, cache has {} sets",
+                snap.replacement.len(),
+                self.policies.len()
             ));
         }
         if let Some(bad) = snap.lines.iter().position(|l| l.words() != words) {
@@ -621,44 +649,37 @@ impl Cache {
                 snap.lines[bad].words()
             ));
         }
-        // Apply replacement state first, keeping rollback copies so a
-        // mismatch partway through cannot leave a half-restored cache
-        // (the saved copies are valid by construction, so re-applying
-        // them cannot fail).
-        let rollback: Vec<ReplacementState> =
-            self.sets.iter().map(|s| s.replacement_state()).collect();
-        for (index, state) in snap.replacement.into_iter().enumerate() {
-            if let Err(err) = self.sets[index].load_replacement_state(state) {
-                for (set, saved) in self.sets.iter_mut().zip(rollback) {
-                    set.load_replacement_state(saved)
-                        .expect("rollback state came from these sets");
+        for (set, lines) in snap.lines.chunks(ways).enumerate() {
+            for (way, line) in lines.iter().enumerate().filter(|(_, l)| l.is_valid()) {
+                if lines[..way]
+                    .iter()
+                    .any(|l| l.is_valid() && l.tag() == line.tag())
+                {
+                    return Err(format!(
+                        "set {set}: two valid lines hold tag {:#x}",
+                        line.tag()
+                    ));
                 }
-                return Err(format!("set {index}: {err}"));
             }
         }
-        let mut lines = snap.lines.into_iter();
-        for set in &mut self.sets {
-            for way in 0..ways {
-                *set.line_mut(way) = lines.next().expect("length checked above");
-            }
+        for (set, (state, live)) in snap.replacement.iter().zip(&self.policies).enumerate() {
+            state
+                .check_fits(live, ways)
+                .map_err(|err| format!("set {set}: {err}"))?;
         }
+        self.lines = snap.lines;
+        self.policies = snap.replacement;
         self.stats = snap.stats;
         Ok(())
     }
 
     /// Iterates over all valid lines as `(location, line)`.
     pub fn valid_lines(&self) -> impl Iterator<Item = (LineLocation, &CacheLine)> {
-        self.sets.iter().enumerate().flat_map(|(s, set)| {
-            set.iter().filter(|(_, l)| l.is_valid()).map(move |(w, l)| {
-                (
-                    LineLocation {
-                        set: s as u64,
-                        way: w as u32,
-                    },
-                    l,
-                )
-            })
-        })
+        self.lines
+            .iter()
+            .enumerate()
+            .filter(|(_, l)| l.is_valid())
+            .map(|(slot, l)| (self.location(slot), l))
     }
 }
 
@@ -704,7 +725,7 @@ impl Backing for CacheLevel<'_> {
         // Ensure presence, then copy the whole line out of the lower array.
         let (loc, hit, _) = self.cache.ensure_line(base, self.lower, self.observer);
         self.cache.stats.record_read(hit);
-        self.cache.sets[loc.set as usize].touch_hit(loc.way as usize);
+        self.cache.policies[loc.set as usize].on_hit(loc.way as usize);
         let line = self.cache.line_at(loc);
         let words = line.as_words();
         buf.copy_from_slice(words);
@@ -716,7 +737,7 @@ impl Backing for CacheLevel<'_> {
     fn store_line(&mut self, base: Address, data: &[u64]) {
         let (loc, hit, _) = self.cache.ensure_line(base, self.lower, self.observer);
         self.cache.stats.record_write(hit);
-        self.cache.sets[loc.set as usize].touch_hit(loc.way as usize);
+        self.cache.policies[loc.set as usize].on_hit(loc.way as usize);
         let line = self.cache.line_at_mut(loc);
         assert_eq!(data.len(), line.words(), "write size mismatch");
         for (i, &n) in data.iter().enumerate() {
@@ -1114,7 +1135,9 @@ mod tests {
         };
         for kind in [
             ReplacementKind::Lru,
+            ReplacementKind::Fifo,
             ReplacementKind::Random { seed: 7 },
+            ReplacementKind::TreePlru,
             ReplacementKind::Srrip,
         ] {
             let g = CacheGeometry::new(512, 64, 2).expect("valid geometry");
@@ -1162,6 +1185,85 @@ mod tests {
         assert_eq!(cache.snapshot().lines, before.lines);
         assert_eq!(cache.snapshot().stats, before.stats);
         assert_eq!(cache.snapshot().replacement, before.replacement);
+    }
+
+    #[test]
+    fn restore_rejects_duplicate_tags_in_a_set() {
+        let mut cache = small_cache();
+        let mut mem = MainMemory::new();
+        // 0x000 and 0x100 both map to set 0 of the 4-set cache.
+        cache
+            .read(Address::new(0x000), 8, &mut mem, &mut ())
+            .unwrap();
+        cache
+            .read(Address::new(0x100), 8, &mut mem, &mut ())
+            .unwrap();
+        let before = cache.snapshot();
+        let mut twin = before.clone();
+        twin.lines[1] = twin.lines[0].clone();
+        let err = cache.restore(twin).expect_err("same tag twice in one set");
+        assert!(err.contains("set 0"), "{err}");
+        assert_eq!(cache.snapshot().lines, before.lines);
+        // An invalid line may keep a stale copy of a live tag.
+        let mut stale = before.clone();
+        stale.lines[1] = stale.lines[0].clone();
+        stale.lines[1].invalidate();
+        cache.restore(stale).expect("invalid lines never match");
+    }
+
+    #[test]
+    fn find_only_matches_valid_lines() {
+        let mut cache = small_cache();
+        let mut mem = MainMemory::new();
+        assert_eq!(
+            cache.find(Address::new(0)),
+            None,
+            "invalid lines must not match tag 0"
+        );
+        cache
+            .read(Address::new(0x100), 8, &mut mem, &mut ())
+            .unwrap();
+        assert_eq!(
+            cache.find(Address::new(0x100)),
+            Some(LineLocation { set: 0, way: 0 })
+        );
+        assert_eq!(cache.find(Address::new(0x200)), None);
+    }
+
+    #[test]
+    fn fill_target_prefers_invalid_ways() {
+        let mut cache = small_cache();
+        let mut mem = MainMemory::new();
+        for addr in [0x000, 0x100, 0x000] {
+            cache
+                .read(Address::new(addr), 8, &mut mem, &mut ())
+                .unwrap();
+        }
+        // LRU now points at way 1; invalidating way 0 must still win.
+        cache
+            .line_at_mut(LineLocation { set: 0, way: 0 })
+            .invalidate();
+        let out = cache
+            .read_outcome(Address::new(0x200), 8, &mut mem, &mut ())
+            .unwrap();
+        assert_eq!(out.location, Some(LineLocation { set: 0, way: 0 }));
+        assert_eq!(out.evicted, None, "way 0 was invalid");
+        // Once full, the LRU victim goes.
+        let out = cache
+            .read_outcome(Address::new(0x300), 8, &mut mem, &mut ())
+            .unwrap();
+        assert_eq!(out.evicted, Some((Address::new(0x100), false)));
+    }
+
+    #[test]
+    fn per_set_random_streams_differ() {
+        let g = CacheGeometry::new(512, 64, 4).expect("valid geometry");
+        let cache = Cache::new("t", g, ReplacementKind::Random { seed: 9 });
+        let stream = |set: usize| {
+            let mut policy = cache.policies[set].clone();
+            (0..32).map(|_| policy.victim(4)).collect::<Vec<_>>()
+        };
+        assert_ne!(stream(0), stream(1), "sets should have independent streams");
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //!
 //! * [`Address`], [`CacheGeometry`] — address arithmetic and validated
 //!   cache shapes,
-//! * [`CacheLine`], [`CacheSet`] — data-carrying storage with pluggable
-//!   [`replacement`] policies,
+//! * [`CacheLine`] — data-carrying storage, kept set-major in one flat
+//!   array per cache, with one [`replacement`] state per set,
 //! * [`Cache`] — a write-back, write-allocate cache over any [`Backing`]
 //!   (main memory or a lower cache level),
 //! * [`MainMemory`] — a sparse flat backing store,
@@ -49,7 +49,6 @@ mod hierarchy;
 mod line;
 mod memory;
 pub mod replacement;
-mod set;
 mod stats;
 pub mod trace;
 
@@ -63,5 +62,4 @@ pub use hierarchy::{CacheHierarchy, HierarchyConfig};
 pub use line::CacheLine;
 pub use memory::{FillPattern, MainMemory, MemorySnapshot};
 pub use replacement::{ReplacementKind, ReplacementState};
-pub use set::CacheSet;
 pub use stats::CacheStats;
