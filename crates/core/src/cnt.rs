@@ -1033,8 +1033,20 @@ impl CntCache {
             .map(move |(loc, line)| (loc, line, self.states[self.line_index(loc)].dirs.bits()))
     }
 
+    /// The index of `loc` in the set-major per-line state array.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `loc.way` is out of range (an out-of-range `loc.set`
+    /// panics at the index that follows).
     fn line_index(&self, loc: LineLocation) -> usize {
-        (loc.set * u64::from(self.config.geometry.associativity()) + u64::from(loc.way)) as usize
+        let ways = self.config.geometry.associativity();
+        assert!(
+            loc.way < ways,
+            "way {} out of range for {ways}-way sets",
+            loc.way
+        );
+        (loc.set * u64::from(ways) + u64::from(loc.way)) as usize
     }
 
     /// Fault injection for reliability studies: flips the stored direction
@@ -2188,6 +2200,23 @@ mod tests {
         );
         assert!(faulted.reliability_counters().faults_corrected >= 1);
         assert_eq!(faulted.reliability_counters().faults_uncorrected, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "way 2 out of range for 2-way sets")]
+    fn direction_bits_rejects_an_out_of_range_way() {
+        let mut cache = CntCache::new(config(adaptive(8, 8))).expect("valid");
+        // Fill set 1 way 0, the slot `set·ways + way` aliases for (0, 2).
+        cache.read(Address::new(64), 8).expect("read");
+        cache.direction_bits(LineLocation { set: 0, way: 2 });
+    }
+
+    #[test]
+    #[should_panic(expected = "way 2 out of range for 2-way sets")]
+    fn protected_direction_bits_rejects_an_out_of_range_way() {
+        let mut cache = CntCache::new(config(adaptive(8, 8))).expect("valid");
+        cache.read(Address::new(64), 8).expect("read");
+        cache.protected_direction_bits(LineLocation { set: 0, way: 2 });
     }
 
     #[test]

@@ -40,6 +40,10 @@ pub enum ProtectionMode {
 
 impl ProtectionMode {
     /// Check bits stored per line for a `partitions`-bit direction vector.
+    ///
+    /// # Panics
+    ///
+    /// Panics under [`ProtectionMode::Secded`] if `partitions` exceeds 64.
     pub fn check_bits(self, partitions: u32) -> u32 {
         match self {
             ProtectionMode::None => 0,
@@ -76,30 +80,29 @@ impl fmt::Display for ProtectionMode {
     }
 }
 
-/// Number of Hamming parity bits `r` needed for `data_bits` data bits:
-/// the smallest `r` with `2^r >= data_bits + r + 1`.
-fn hamming_parity_bits(data_bits: u32) -> u32 {
-    let mut r = 0u32;
-    while (1u32 << r) < data_bits + r + 1 {
-        r += 1;
-    }
-    r
-}
+/// `HAMMING_PARITY_BITS[k]`: the smallest `r` with `2^r >= k + r + 1`,
+/// the Hamming parity-bit count for `k` data bits.
+const HAMMING_PARITY_BITS: [u8; 65] = [
+    0, 2, 3, 3, 3, 4, 4, 4, 4, 4, 4, 4, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 6, 6, 6, 6, 6,
+    6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 7, 7, 7, 7, 7, 7,
+    7,
+];
 
-/// The 1-based codeword position of data bit `i`: the `(i + 1)`-th
-/// non-power-of-two position.
-fn data_position(i: u32) -> u32 {
-    let mut pos = 1u32;
-    let mut seen = 0u32;
-    loop {
-        if !pos.is_power_of_two() {
-            if seen == i {
-                return pos;
-            }
-            seen += 1;
-        }
-        pos += 1;
-    }
+/// `DATA_POSITIONS[i]`: the 1-based codeword position of data bit `i`,
+/// the `(i + 1)`-th non-power-of-two position.
+const DATA_POSITIONS: [u8; 64] = [
+    3, 5, 6, 7, 9, 10, 11, 12, 13, 14, 15, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30,
+    31, 33, 34, 35, 36, 37, 38, 39, 40, 41, 42, 43, 44, 45, 46, 47, 48, 49, 50, 51, 52, 53, 54, 55,
+    56, 57, 58, 59, 60, 61, 62, 63, 65, 66, 67, 68, 69, 70, 71,
+];
+
+/// Number of Hamming parity bits `r` needed for `data_bits` data bits.
+///
+/// # Panics
+///
+/// Panics if `data_bits` exceeds 64.
+fn hamming_parity_bits(data_bits: u32) -> u32 {
+    u32::from(HAMMING_PARITY_BITS[data_bits as usize])
 }
 
 /// The data-bit index stored at codeword position `pos`, or `None` if
@@ -116,23 +119,25 @@ fn data_index_at(pos: u32, data_bits: u32, parity_bits: u32) -> Option<u32> {
     (idx < data_bits).then_some(idx)
 }
 
+/// The Hamming parities of the low `data_bits` of `mask`: parity `j`
+/// covers codeword positions with bit `j` set, so the parity word is the
+/// XOR of the set data bits' positions (every position is below `2^r`).
+fn hamming_parities(mask: u64, data_bits: u32) -> u64 {
+    let mut bits = mask & u64::MAX.checked_shr(64 - data_bits).unwrap_or(0);
+    let mut parities = 0u64;
+    while bits != 0 {
+        parities ^= u64::from(DATA_POSITIONS[bits.trailing_zeros() as usize]);
+        bits &= bits - 1;
+    }
+    parities
+}
+
 /// Extended-Hamming check word for `mask` (low `data_bits` significant):
-/// bits `0..r` hold the Hamming parities (parity `j` covers codeword
-/// positions with bit `j` set), bit `r` holds the overall parity over
-/// data plus Hamming parities.
+/// bits `0..r` hold the Hamming parities, bit `r` holds the overall
+/// parity over data plus Hamming parities.
 fn secded_encode(mask: u64, data_bits: u32) -> u64 {
     let r = hamming_parity_bits(data_bits);
-    let mut parities = 0u64;
-    for i in 0..data_bits {
-        if mask >> i & 1 == 1 {
-            let pos = data_position(i);
-            for j in 0..r {
-                if pos >> j & 1 == 1 {
-                    parities ^= 1 << j;
-                }
-            }
-        }
-    }
+    let parities = hamming_parities(mask, data_bits);
     let overall = (mask.count_ones() + parities.count_ones()) & 1;
     parities | (u64::from(overall) << r)
 }
@@ -151,9 +156,8 @@ fn code_verdict(mode: ProtectionMode, data: u64, data_bits: u32, check: u64) -> 
         }
         ProtectionMode::Secded => {
             let r = hamming_parity_bits(data_bits);
-            let expected = secded_encode(data, data_bits);
             // Syndrome: which Hamming parities disagree with the data.
-            let syndrome = ((expected ^ check) & ((1 << r) - 1)) as u32;
+            let syndrome = ((hamming_parities(data, data_bits) ^ check) & ((1 << r) - 1)) as u32;
             // Overall parity over the *received* codeword: data bits,
             // stored Hamming parities, stored overall bit.
             let stored_parities = check & ((1 << r) - 1);
@@ -637,6 +641,179 @@ impl fmt::Display for ProtectedDirectionBits {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Reference: the smallest `r` with `2^r >= data_bits + r + 1`, by
+    /// search.
+    fn hamming_parity_bits_by_search(data_bits: u32) -> u32 {
+        let mut r = 0u32;
+        while (1u32 << r) < data_bits + r + 1 {
+            r += 1;
+        }
+        r
+    }
+
+    /// Reference: the 1-based codeword position of data bit `i`, the
+    /// `(i + 1)`-th non-power-of-two position, by search.
+    fn data_position(i: u32) -> u32 {
+        let mut pos = 1u32;
+        let mut seen = 0u32;
+        loop {
+            if !pos.is_power_of_two() {
+                if seen == i {
+                    return pos;
+                }
+                seen += 1;
+            }
+            pos += 1;
+        }
+    }
+
+    /// Reference encoder: each set data bit's position, bit by bit, into
+    /// the Hamming parities; overall parity over the full mask.
+    fn reference_secded_encode(mask: u64, data_bits: u32) -> u64 {
+        let r = hamming_parity_bits_by_search(data_bits);
+        let mut parities = 0u64;
+        for i in 0..data_bits {
+            if mask >> i & 1 == 1 {
+                let pos = data_position(i);
+                for j in 0..r {
+                    if pos >> j & 1 == 1 {
+                        parities ^= 1 << j;
+                    }
+                }
+            }
+        }
+        let overall = (mask.count_ones() + parities.count_ones()) & 1;
+        parities | (u64::from(overall) << r)
+    }
+
+    /// SplitMix64: a seeded mask stream for the codec oracle.
+    fn next_mask(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// The masks the oracle checks at width `data_bits`: every mask up to
+    /// 12 bits, seeded random ones above, and masks with stray bits set
+    /// above `data_bits`.
+    fn oracle_masks(data_bits: u32, state: &mut u64) -> Vec<u64> {
+        let live = u64::MAX >> (64 - data_bits);
+        let mut masks: Vec<u64> = if data_bits <= 12 {
+            (0..=live).collect()
+        } else {
+            (0..256).map(|_| next_mask(state) & live).collect()
+        };
+        masks.extend([0, live, 0x5A5A_5A5A_5A5A_5A5A & live]);
+        if data_bits < 64 {
+            masks.extend((0..16).map(|_| next_mask(state) | !live));
+        }
+        masks
+    }
+
+    #[test]
+    fn tables_match_the_search_reference() {
+        for k in 0..=64 {
+            assert_eq!(
+                hamming_parity_bits(k),
+                hamming_parity_bits_by_search(k),
+                "k={k}"
+            );
+        }
+        for i in 0..64 {
+            assert_eq!(
+                u32::from(DATA_POSITIONS[i as usize]),
+                data_position(i),
+                "i={i}"
+            );
+        }
+    }
+
+    #[test]
+    fn secded_codec_matches_the_loop_reference() {
+        let mut state = 0x5EC_DED;
+        for data_bits in 1..=64u32 {
+            let r = hamming_parity_bits(data_bits);
+            let check_bits = ProtectionMode::Secded.check_bits(data_bits);
+            let masks = oracle_masks(data_bits, &mut state);
+            for (n, &mask) in masks.iter().enumerate() {
+                let check = ProtectionMode::Secded.encode(mask, data_bits);
+                assert_eq!(
+                    check,
+                    reference_secded_encode(mask, data_bits),
+                    "data_bits={data_bits} mask={mask:#x}"
+                );
+                let verdict =
+                    |data, check| code_verdict(ProtectionMode::Secded, data, data_bits, check);
+                assert_eq!(verdict(mask, check), ProtectionVerdict::Clean);
+                for bit in 0..data_bits {
+                    assert_eq!(
+                        verdict(mask ^ 1 << bit, check),
+                        ProtectionVerdict::CorrectedData(bit),
+                        "data_bits={data_bits} mask={mask:#x} data upset {bit}"
+                    );
+                }
+                for bit in 0..check_bits {
+                    assert_eq!(
+                        verdict(mask, check ^ 1 << bit),
+                        ProtectionVerdict::CorrectedCheck,
+                        "data_bits={data_bits} mask={mask:#x} check upset {bit}"
+                    );
+                }
+                // Sampled double upsets: data+data, data+check,
+                // check+check (the overall bit included).
+                let a = (n as u32 * 7) % data_bits;
+                let b = (a + 1 + n as u32 % (data_bits.max(2) - 1)) % data_bits;
+                let c = n as u32 % (r + 1);
+                let d = (c + 1) % (r + 1);
+                if a != b {
+                    assert_eq!(
+                        verdict(mask ^ 1 << a ^ 1 << b, check),
+                        ProtectionVerdict::Uncorrectable,
+                        "data_bits={data_bits} mask={mask:#x} data upsets {a},{b}"
+                    );
+                }
+                assert_eq!(
+                    verdict(mask ^ 1 << a, check ^ 1 << c),
+                    ProtectionVerdict::Uncorrectable,
+                    "data_bits={data_bits} mask={mask:#x} data {a} + check {c}"
+                );
+                assert_eq!(
+                    verdict(mask, check ^ 1 << c ^ 1 << d),
+                    ProtectionVerdict::Uncorrectable,
+                    "data_bits={data_bits} mask={mask:#x} check upsets {c},{d}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn secded_check_words_are_pinned() {
+        // Printed by the per-bit loop encoder; check words are stored in
+        // `.ctrs` checkpoints, so none may move.
+        for (mask, data_bits, check) in [
+            (0x0, 1, 0x0),
+            (0x1, 1, 0x7),
+            (0xA5, 8, 0x3),
+            (0xFF, 8, 0x3),
+            (0xF0F0, 8, 0x14),
+            (0x3FF, 10, 0x0),
+            (0xABC, 12, 0x31),
+            (0x1234, 13, 0x19),
+            (0xDEAD_BEEF, 32, 0x63),
+            (0x5A5A_5A5A_5A5A_5A5A, 64, 0x2E),
+            (u64::MAX, 64, 0xFF),
+            (0x8000_0000_0000_0001, 64, 0x44),
+        ] {
+            assert_eq!(
+                ProtectionMode::Secded.encode(mask, data_bits),
+                check,
+                "mask={mask:#x} data_bits={data_bits}"
+            );
+        }
+    }
 
     #[test]
     fn check_bit_counts_match_theory() {
